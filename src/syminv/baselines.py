@@ -27,8 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotPositiveDefinite, NotSymmetric, ZeroPivot
-from .matcore import OpCounter, SymmetryCheck, as_matrix, mirror_lower
+from .errors import NotPositiveDefinite, ZeroPivot
+from .matcore import OpCounter, _checked_symmetric, mirror_lower
 from .modgauss import default_pivot_tol
 
 
@@ -45,14 +45,6 @@ class LdlFactor:
 
     l: np.ndarray
     d: np.ndarray
-
-
-def _checked_symmetric(a, symmetry=None) -> np.ndarray:
-    a = as_matrix(a)
-    check = SymmetryCheck() if symmetry is None else symmetry
-    if not check.passes(a):
-        raise NotSymmetric("input matrix is not symmetric")
-    return a
 
 
 def cholesky_factor(a, counter=None, pivot_tol=None) -> CholFactor:
@@ -106,10 +98,42 @@ def invert_cholesky(a, counter=None, pivot_tol=None) -> np.ndarray:
     return mirror_lower(x)
 
 
+_BLOCK = 64
+
+
+def _ldl_nopiv_blocked(a, tol):
+    """Unit-lower/diagonal factorization, no pivoting, no square roots.
+
+    Right-looking with blocked trailing updates; does not modify *a*.
+    Raises ZeroPivot(j) when pivot j, the ratio of the leading (j+1)- and
+    j-minors, is within *tol* of zero.  Returns (strictly lower factor,
+    diagonal vector).
+    """
+    n = a.shape[0]
+    work = a.copy()
+    d = np.empty(n)
+    for s in range(0, n, _BLOCK):
+        e = min(s + _BLOCK, n)
+        for j in range(s, e):
+            dj = float(work[j, j])
+            if abs(dj) <= tol:
+                raise ZeroPivot(j)
+            d[j] = dj
+            w = work[j + 1:e, j].copy()
+            work[j + 1:, j] /= dj
+            if j + 1 < e:
+                work[j + 1:, j + 1:e] -= np.outer(work[j + 1:, j], w)
+        if e < n:
+            panel = work[e:, s:e]
+            work[e:, e:] -= (panel * d[s:e]) @ panel.T
+    return np.tril(work, -1), d
+
+
 def ldl_factor(a, counter=None, pivot_tol=None) -> LdlFactor:
     """Factor a symmetric matrix as L D L^T with unit lower-triangular L.
 
-    Column j costs 2j multiplications for the diagonal and (n-1-j)(2j+1)
+    The tally follows the column-wise model without cached subproducts:
+    column j costs 2j multiplications for the diagonal and (n-1-j)(2j+1)
     multiplications and divisions below it.  Works for indefinite
     matrices; raises ZeroPivot when a diagonal entry of D is numerically
     zero (a zero leading principal minor).
@@ -118,18 +142,9 @@ def ldl_factor(a, counter=None, pivot_tol=None) -> LdlFactor:
     n = a.shape[0]
     cnt = counter if counter is not None else OpCounter()
     tol = default_pivot_tol(a) if pivot_tol is None else float(pivot_tol)
-    l = np.eye(n)
-    d = np.zeros(n)
-    for j in range(n):
-        lj = l[j, :j]
-        dj = float(a[j, j]) - float((lj * lj) @ d[:j])
-        cnt.add_muldiv(2 * j)
-        if abs(dj) <= tol:
-            raise ZeroPivot(j)
-        d[j] = dj
-        scaled = l[j + 1:, :j] * lj
-        l[j + 1:, j] = (a[j + 1:, j] - scaled @ d[:j]) / dj
-        cnt.add_muldiv((n - 1 - j) * (2 * j + 1))
+    l, d = _ldl_nopiv_blocked(a, tol)
+    l[np.diag_indices(n)] = 1.0
+    cnt.add_muldiv(sum(2 * j + (n - 1 - j) * (2 * j + 1) for j in range(n)))
     return LdlFactor(l=l, d=d)
 
 

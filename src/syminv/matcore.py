@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, IndexOutOfRange, InvalidArgument
+from .errors import DimensionMismatch, IndexOutOfRange, InvalidArgument, NotSymmetric
 
 
 def as_matrix(data) -> np.ndarray:
@@ -59,6 +59,14 @@ class SymmetryCheck:
         diff = np.abs(a - a.T)
         ref = np.maximum(1.0, np.abs(a))
         return bool((diff <= self.tolerance * ref).all())
+
+
+def _checked_symmetric(a) -> np.ndarray:
+    """``as_matrix`` copy of *a*; raises NotSymmetric unless exactly symmetric."""
+    a = as_matrix(a)
+    if not SymmetryCheck().passes(a):
+        raise NotSymmetric("input matrix is not symmetric")
+    return a
 
 
 class OpCounter:

@@ -1,24 +1,32 @@
 """Square-root-free inversion of symmetric matrices.
 
-Both variants run the modified Gaussian elimination of ``modgauss`` but
-exploit symmetry so that only the lower triangle of the inverse is ever
-computed; the upper triangle is mirrored at the end.  Neither variant
-evaluates a square root.
+Both variants exploit symmetry so that only the lower triangle of the
+inverse is ever computed; the upper triangle is mirrored at the end.
+Neither variant evaluates a square root.
 
-Variant 1 works in two stages.  Stage one runs the elimination with only
-the last solution component required, freezing each row right after its
-pivot step; the frozen row i then holds the last row of the inverse of
-the leading (i+1)-block, and F is exactly lower triangular.  Stage two
-walks k = 1..n-1 and adds the rank-one correction
-outer(row_k / f_kk, row_k) to the leading k-block, turning it from the
-inverse of the leading k-block into the corresponding block of the full
-inverse.  Cost: n^3/3 + n^2/2 + n/6 plus n^3/6 + n^2/2 - 2n/3, i.e.
-n^3/2 + n^2 - n/2 multiplications and divisions.
+Write A = L D L^T with unit lower-triangular L and M = L^-1.  Row i of
+D^-1 M is the last row of the inverse of the leading (i+1)-block of A,
+and A^-1 = M^T D^-1 M is the sum of the rank-one corrections the paper's
+sweeps accumulate.
+
+Variant 1 works in two stages.  Stage one runs the modified Gaussian
+elimination of ``modgauss`` with only the last solution component
+required, freezing each row right after its pivot step; this yields
+F = D^-1 M, exactly lower triangular.  Stage two adds the rank-one
+corrections outer(row_k / f_kk, row_k), k = 1..n-1, to the leading
+blocks, i.e. forms the lower triangle of F^T diag(F)^-1 F.  Cost:
+n^3/3 + n^2/2 + n/6 plus n^3/6 + n^2/2 - 2n/3, i.e. n^3/2 + n^2 - n/2
+multiplications and divisions.
 
 Variant 2 fuses the two stages into a single sweep: at step k the pivot
 row is normalized, the rows below are updated through the column of
 coefficients written into column k, and the same rank-one correction is
 accumulated into the leading k-block immediately.  Cost: n^3/2 + n^2/2.
+``invert_v2`` evaluates the sweep's result through its factors (the
+LDL^T kernel shared with ``baselines.ldl_factor``, the unit-lower
+inverse, and the recombination M^T D^-1 M) and tallies the sweep's cost
+model; ``invert_v2_reference`` runs the sweep step by step and measures
+its count.
 
 Neither variant swaps rows (a swap would break the symmetric structure
 the rank-one corrections rely on), so a numerically zero leading minor
@@ -31,23 +39,17 @@ from __future__ import annotations
 import numpy as np
 
 from . import modgauss
-from .errors import InvalidArgument, NotSymmetric, ZeroPivot
+from .baselines import _BLOCK, _ldl_nopiv_blocked
+from .errors import InvalidArgument, ZeroPivot
 from .matcore import (
     OpCounter,
     RequiredSet,
     SymmetryCheck,
+    _checked_symmetric,
     as_matrix,
     frobenius_norm,
     mirror_lower,
 )
-
-
-def _checked_symmetric(a, symmetry=None) -> np.ndarray:
-    a = as_matrix(a)
-    check = SymmetryCheck() if symmetry is None else symmetry
-    if not check.passes(a):
-        raise NotSymmetric("input matrix is not symmetric")
-    return a
 
 
 def lower_stage(a, counter=None, pivot_tol=None) -> np.ndarray:
@@ -66,22 +68,20 @@ def lower_stage(a, counter=None, pivot_tol=None) -> np.ndarray:
 def complete_lower(f, counter=None) -> np.ndarray:
     """Stage two of variant 1: rank-one completion of the stage-one rows.
 
-    Mutates nothing; returns a new matrix whose lower triangle is the
-    lower triangle of the full inverse.  Costs n^3/6 + n^2/2 - 2n/3.
+    Adds outer(row_k / f_kk, row_k) to the leading k-block for
+    k = 1..n-1.  Since F is lower triangular and f_kk / f_kk is exactly
+    one, the completed entries are the lower triangle of U^T F with
+    U = diag(F)^-1 F, evaluated as one matrix product.  Mutates nothing;
+    returns an exactly lower-triangular matrix whose lower triangle is
+    that of the full inverse.  Tallies the per-step model (k divisions
+    and k(k+1)/2 products at step k): n^3/6 + n^2/2 - 2n/3.
     """
     f = as_matrix(f)
     n = f.shape[0]
     cnt = counter if counter is not None else OpCounter()
-    out = f.copy()
-    for k in range(1, n):
-        row = out[k, :k]
-        u = row / out[k, k]
-        cnt.add_muldiv(k)
-        # Only the lower half of the rank-one correction is meaningful;
-        # the strict upper entries stay exactly zero.
-        out[:k, :k] += np.tril(np.outer(u, row))
-        cnt.add_muldiv(k * (k + 1) // 2)
-    return out
+    u = f / np.diag(f)[:, None]
+    cnt.add_muldiv(sum(k + k * (k + 1) // 2 for k in range(1, n)))
+    return np.tril(u.T @ f)
 
 
 def invert_v1_parts(a, counter=None, pivot_tol=None):
@@ -90,7 +90,6 @@ def invert_v1_parts(a, counter=None, pivot_tol=None):
     The completed F is exactly lower triangular; the inverse equals
     F + (F - diag(F))^T.
     """
-    a = _checked_symmetric(a)
     cnt = counter if counter is not None else OpCounter()
     stage1 = lower_stage(a, cnt, pivot_tol)
     final = complete_lower(stage1, cnt)
@@ -107,48 +106,12 @@ def invert_v1(a, counter=None, pivot_tol=None) -> np.ndarray:
     return invert_v1_parts(a, counter, pivot_tol)[2]
 
 
-# Above this order invert_v2 evaluates the sweep through its triangular
-# factors (see _invert_v2_blocked): same pivots, same inverse up to
-# rounding, but GEMM-dominated instead of memory-bound rank-one updates.
-_SWEEP_LIMIT = 64
-
-_BLOCK = 64
-
-
-def _ldl_nopiv_blocked(a, tol, block=_BLOCK):
-    """Unit-lower/diagonal factorization, no pivoting, no square roots.
-
-    Right-looking with blocked trailing updates.  The pivots equal the
-    sweep's leading-minor ratios in exact arithmetic, so the same inputs
-    raise ZeroPivot at the same step.  Returns (strictly lower factor,
-    diagonal vector).
-    """
-    n = a.shape[0]
-    work = a.copy()
-    d = np.empty(n)
-    for s in range(0, n, block):
-        e = min(s + block, n)
-        for j in range(s, e):
-            dj = float(work[j, j])
-            if abs(dj) <= tol:
-                raise ZeroPivot(j)
-            d[j] = dj
-            w = work[j + 1:e, j].copy()
-            work[j + 1:, j] /= dj
-            if j + 1 < e:
-                work[j + 1:, j + 1:e] -= np.outer(work[j + 1:, j], w)
-        if e < n:
-            panel = work[e:, s:e]
-            work[e:, e:] -= (panel * d[s:e]) @ panel.T
-    return np.tril(work, -1), d
-
-
-def _unit_lower_inverse(l_strict, block=_BLOCK):
+def _unit_lower_inverse(l_strict):
     """Invert I + l_strict (unit lower triangular), block column by block."""
     n = l_strict.shape[0]
     m = np.zeros((n, n))
-    for s in range(0, n, block):
-        e = min(s + block, n)
+    for s in range(0, n, _BLOCK):
+        e = min(s + _BLOCK, n)
         blk = np.eye(e - s)
         for i in range(1, e - s):
             blk[i, :i] = -(l_strict[s + i, s:s + i] @ blk[:i, :i])
@@ -158,82 +121,42 @@ def _unit_lower_inverse(l_strict, block=_BLOCK):
     return m
 
 
-def _invert_v2_blocked(a, cnt, tol):
-    """Factor-form evaluation of the single sweep for large orders.
-
-    The sweep's normalized pivot rows are exactly the rows of the
-    inverse unit-lower factor scaled by the pivot reciprocals, and its
-    rank-one completions sum to the symmetric recombination of that
-    factor.  Evaluating those three pieces directly turns the whole
-    computation into blocked matrix products while keeping the same
-    pivots, the same failure step, and the same inverse up to rounding.
-    """
-    n = a.shape[0]
-    l_strict, d = _ldl_nopiv_blocked(a, tol)
-    m = _unit_lower_inverse(l_strict)
-    inv = m.T @ (m * (1.0 / d)[:, None])
-    # Cost model of the sweep, step by step (identical to the explicit
-    # loop below): pivot-row products, the reciprocal, the row scaling,
-    # the column of coefficients, and the two rank-one updates.
-    for k in range(n):
-        cnt.add_muldiv((n - k) * k + 1 + k + (n - k - 1)
-                       + (n - k - 1) * k + k * (k + 1) // 2)
-    return mirror_lower(inv)
-
-
 def invert_v2(a, counter=None, pivot_tol=None) -> np.ndarray:
     """Single-sweep square-root-free symmetric inversion.
 
-    Costs n^3/2 + n^2/2 multiplications and divisions, no square roots.
-    Raises ZeroPivot when a leading principal minor is numerically zero.
-    Orders above _SWEEP_LIMIT are evaluated through the sweep's
-    triangular-factor form, which is much faster and identical up to
-    rounding; below the limit the explicit sweep runs, and its lower
-    triangle agrees bitwise with invert_v2_reference.
+    Evaluates the sweep's result through its factors: A = L D L^T, then
+    M = L^-1 (the sweep's normalized pivot rows are the rows of D^-1 M),
+    then the lower triangle of M^T D^-1 M (the sum of the sweep's
+    rank-one completions), mirrored.  Same pivots and failure step as
+    the sweep, same inverse up to rounding.  Raises ZeroPivot when a
+    leading principal minor is numerically zero.
+
+    The tally is the sweep's cost model, n^3/2 + n^2/2 multiplications
+    and divisions and no square roots, added as one sum of its per-step
+    terms; the step-by-step measured count comes from
+    invert_v2_reference.
     """
     a = _checked_symmetric(a)
     cnt = counter if counter is not None else OpCounter()
     tol = modgauss.default_pivot_tol(a) if pivot_tol is None else float(pivot_tol)
     n = a.shape[0]
-    if n > _SWEEP_LIMIT:
-        return _invert_v2_blocked(a, cnt, tol)
-    f = np.eye(n)
-    for k in range(n):
-        old = f[k, :k].copy()
-        # Row k of A doubles as column k (symmetry), keeping reads contiguous;
-        # the trailing a[k, k:] term is each unpivoted row's identity entry
-        # times A[i, k] — an uncounted addition.
-        d = f[k:, :k] @ a[k, :k] + a[k, k:]
-        cnt.add_muldiv((n - k) * k)
-        g = float(d[0])
-        if abs(g) <= tol:
-            raise ZeroPivot(k)
-        r = 1.0 / g
-        cnt.add_muldiv(1)
-        new_row = old * r
-        f[k, :k] = new_row
-        f[k, k] = r
-        cnt.add_muldiv(k)
-        c = d[1:] * (-r)
-        f[k + 1:, k] = c
-        cnt.add_muldiv(n - k - 1)
-        f[k + 1:, :k] += np.outer(c, old)
-        cnt.add_muldiv((n - k - 1) * k)
-        # Rank-one completion of the leading block.  Only the lower half is
-        # counted (and ever read again); the full outer product is cheaper
-        # to apply than masking, and the upper half is discarded below.
-        f[:k, :k] += np.outer(new_row, old)
-        cnt.add_muldiv(k * (k + 1) // 2)
-    return mirror_lower(f)
+    l_strict, d = _ldl_nopiv_blocked(a, tol)
+    m = _unit_lower_inverse(l_strict)
+    # Sweep step k: pivot-row products, the reciprocal, the row scaling,
+    # the column of coefficients, and the two rank-one updates.
+    cnt.add_muldiv(sum((n - k) * k + 1 + k + (n - k - 1)
+                       + (n - k - 1) * k + k * (k + 1) // 2 for k in range(n)))
+    return mirror_lower(m.T @ (m / d[:, None]))
 
 
 def invert_v2_reference(a, counter=None, pivot_tol=None) -> np.ndarray:
-    """Column-by-column formulation of the single-sweep variant.
+    """Step-by-step single sweep, column by column.
 
-    Applies exactly the same scalar products as invert_v2 but ordered
-    column-wise, writing the normalized pivot values into column k first
-    and mirroring them into row k at the end of the step.  Kept as a
-    cross-check: its lower triangle agrees bitwise with invert_v2's.
+    Runs the sweep one pivot at a time, writing the normalized pivot
+    values into column k first and mirroring them into row k at the end
+    of the step, and tallies every step as it runs.  Kept as the
+    cross-check of invert_v2: it agrees with invert_v2 up to rounding,
+    and its count is the only measured v2 count.
     """
     a = _checked_symmetric(a)
     cnt = counter if counter is not None else OpCounter()

@@ -158,7 +158,7 @@ def test_criterion_06_sweep_equivalence(capsys):
         dev = _fro_rel(invert_v2(a), invert_v2_reference(a))
         worst = max(worst, dev)
         assert dev <= 1e-13
-    _announce(capsys, 6, f"row-wise and column-wise sweeps agree on 100 "
+    _announce(capsys, 6, f"factor form and step-by-step sweep agree on 100 "
               f"random symmetric matrices, n<=20 (worst {worst:.2e} <= 1e-13)")
 
 
