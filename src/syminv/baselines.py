@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotPositiveDefinite, ZeroPivot
-from .matcore import OpCounter, _checked_symmetric, mirror_lower
+from .matcore import _BLOCK, OpCounter, _checked_symmetric, mirror_lower
 from .modgauss import default_pivot_tol
 
 
@@ -96,9 +96,6 @@ def invert_cholesky(a, counter=None, pivot_tol=None) -> np.ndarray:
         x[i, :i + 1] = (b[i, :i + 1] - l[i + 1:, i] @ x[i + 1:, :i + 1]) / l[i, i]
         cnt.add_muldiv((i + 1) * (n - i))
     return mirror_lower(x)
-
-
-_BLOCK = 64
 
 
 def _ldl_nopiv_blocked(a, tol):

@@ -35,7 +35,7 @@ import numpy as np
 
 from . import baselines, complexity, modgauss, symmetric
 from .errors import GenerationFailed, InvalidArgument, LinAlgError, ZeroPivot
-from .matcore import OpCounter, frobenius_norm, inverse_residual, norm2_estimate
+from .matcore import OpCounter, RequiredSet, frobenius_norm, inverse_residual, norm2_estimate
 
 FAMILY_KINDS = ("diag_dominant", "non_dominant", "zero_leading_minor")
 
@@ -488,6 +488,32 @@ def _verify_row_identities(seed):
     return True, "row-identity check accepts the inverse and rejects a corruption"
 
 
+def _verify_panels(seed):
+    runs = 0
+    for n in (65, 130):
+        a = generate(MatrixFamily("diag_dominant", n, seed + n))
+        k = n // 2
+        swapped = a.copy()
+        swapped[k, :k + 1] = 0.0  # the pivot of step k is exactly zero
+        for mat, required in ((a, None), (a, RequiredSet.trailing(n, 1)), (swapped, None)):
+            cnt = OpCounter()
+            f = modgauss.eliminate(mat, required, cnt)
+            step_cnt = OpCounter()
+            state = modgauss.EliminationState.start(mat, required)
+            while state.step < n:
+                state = modgauss.eliminate_step(state, step_cnt)
+            if bool(state.perm) != (mat is swapped):
+                return False, f"unexpected swap log {state.perm} at n={n}"
+            if cnt.muldiv != step_cnt.muldiv:
+                return False, (f"panel count {cnt.muldiv} != stepwise count "
+                               f"{step_cnt.muldiv} at n={n}")
+            if frobenius_norm(f - state.f) > 1e-13 * frobenius_norm(state.f):
+                return False, f"panel and stepwise results disagree at n={n}"
+            runs += 1
+    return True, (f"{runs} panel runs (n=65, 130: full, trailing-1, one swap) match "
+                  "eliminate_step: counts exact, F to 1e-13")
+
+
 def run_verification(max_n=40, seed=DEFAULT_SEED) -> list[tuple[str, bool, str]]:
     """Run the invariant suite; returns (name, passed, detail) triples."""
     if max_n < 2:
@@ -503,6 +529,7 @@ def run_verification(max_n=40, seed=DEFAULT_SEED) -> list[tuple[str, bool, str]]
         ("indefinite-applicability", lambda: _verify_indefinite(seed)),
         ("residual-bounds", lambda: _verify_residuals(seed)),
         ("row-identities", lambda: _verify_row_identities(seed)),
+        ("panel-driver", lambda: _verify_panels(seed)),
     ]
     results = []
     for name, check in suite:

@@ -15,6 +15,10 @@ import numpy as np
 
 from .errors import DimensionMismatch, IndexOutOfRange, InvalidArgument, NotSymmetric
 
+# Column-block width of the blocked kernels: the LDL^T factor, the
+# unit-lower inverse and the elimination's panels.
+_BLOCK = 64
+
 
 def as_matrix(data) -> np.ndarray:
     """Validate *data* as a dense square float64 matrix and copy it.
@@ -56,6 +60,8 @@ class SymmetryCheck:
 
     def passes(self, a) -> bool:
         a = np.asarray(a, dtype=np.float64)
+        if self.tolerance == 0.0:  # the same predicate on finite input
+            return bool(np.array_equal(a, a.T))
         diff = np.abs(a - a.T)
         ref = np.maximum(1.0, np.abs(a))
         return bool((diff <= self.tolerance * ref).all())

@@ -12,9 +12,12 @@ sweeps accumulate.
 Variant 1 works in two stages.  Stage one runs the modified Gaussian
 elimination of ``modgauss`` with only the last solution component
 required, freezing each row right after its pivot step; this yields
-F = D^-1 M, exactly lower triangular.  Stage two adds the rank-one
-corrections outer(row_k / f_kk, row_k), k = 1..n-1, to the leading
-blocks, i.e. forms the lower triangle of F^T diag(F)^-1 F.  Cost:
+F = D^-1 M, exactly lower triangular.  The elimination runs in
+64-column panels: the rows below a panel take its steps as one matrix
+product, and the count adds their share of each step from the per-step
+model (``modgauss.eliminate_step`` measures it).  Stage two adds the
+rank-one corrections outer(row_k / f_kk, row_k), k = 1..n-1, to the
+leading blocks, i.e. forms the lower triangle of F^T diag(F)^-1 F.  Cost:
 n^3/3 + n^2/2 + n/6 plus n^3/6 + n^2/2 - 2n/3, i.e. n^3/2 + n^2 - n/2
 multiplications and divisions.
 
@@ -39,9 +42,10 @@ from __future__ import annotations
 import numpy as np
 
 from . import modgauss
-from .baselines import _BLOCK, _ldl_nopiv_blocked
+from .baselines import _ldl_nopiv_blocked
 from .errors import InvalidArgument, ZeroPivot
 from .matcore import (
+    _BLOCK,
     OpCounter,
     RequiredSet,
     SymmetryCheck,
@@ -57,7 +61,8 @@ def lower_stage(a, counter=None, pivot_tol=None) -> np.ndarray:
 
     Returns an exactly lower-triangular F whose row i is the last row of
     the inverse of the leading (i+1) x (i+1) block of a.  Costs
-    n^3/3 + n^2/2 + n/6 multiplications and divisions.
+    n^3/3 + n^2/2 + n/6 multiplications and divisions, tallied by the
+    elimination's panel driver.
     """
     a = _checked_symmetric(a)
     n = a.shape[0]

@@ -183,6 +183,7 @@ class TestEmitReport:
 def test_run_verification_small():
     results = run_verification(max_n=8, seed=42)
     assert len(results) >= 8
+    assert "panel-driver" in {name for name, _, _ in results}
     for name, ok, detail in results:
         assert ok, (name, detail)
         assert isinstance(detail, str) and detail

@@ -82,6 +82,20 @@ class TestSymmetryCheck:
         a = np.array([[1.0, 2.0], [2.0 + 1e-12, 3.0]])
         assert SymmetryCheck(tolerance=1e-9).passes(a)
 
+    def test_exact_rejects_one_ulp(self):
+        a = np.array([[1.0, 2.0], [np.nextafter(2.0, 3.0), 3.0]])
+        assert not SymmetryCheck().passes(a)
+        assert not SymmetryCheck().passes(a.T)
+
+    def test_tolerant_is_relative_to_max_one_and_entry(self):
+        a = np.array([[1.0, 1e6], [1e6 + 1e-4, 3.0]])
+        assert SymmetryCheck(tolerance=1e-9).passes(a)  # 1e-4 <= 1e-9 * 1e6
+        a[1, 0] = 1e6 + 1e-2
+        assert not SymmetryCheck(tolerance=1e-9).passes(a)
+        b = np.array([[1.0, 1e-3], [2e-3, 3.0]])
+        assert SymmetryCheck(tolerance=1e-3).passes(b)  # 1e-3 <= 1e-3 * 1
+        assert not SymmetryCheck(tolerance=9e-4).passes(b)
+
     def test_negative_tolerance_rejected(self):
         with pytest.raises(InvalidArgument):
             SymmetryCheck(tolerance=-1.0)

@@ -28,6 +28,30 @@ def _dominant(rng, n):
     return m
 
 
+def _vanishing_minors(a, *steps):
+    """a with row k zeroed in columns 0..k: the pivot of step k is exactly 0."""
+    a = a.copy()
+    for k in steps:
+        a[k, :k + 1] = 0.0
+    return a
+
+
+def _stepwise(a, required=None):
+    """Run eliminate_step to completion; returns (final state, muldiv)."""
+    state = EliminationState.start(a, required)
+    c = OpCounter()
+    while state.step < state.a.shape[0]:
+        state = eliminate_step(state, counter=c)
+    return state, c.muldiv
+
+
+def _required(kind, n):
+    return {"full": None,
+            "trailing1": RequiredSet.trailing(n, 1),
+            "trailing_third": RequiredSet.trailing(n, n // 3),
+            "scattered": RequiredSet(i for i in (2, 64, 65, n) if i <= n)}[kind]
+
+
 class TestInvert:
     def test_identity(self):
         c = OpCounter()
@@ -184,6 +208,54 @@ class TestEliminationState:
         a = np.array([[0.0, 1.0], [1.0, 0.0]])
         state = eliminate_step(EliminationState.start(a))
         assert state.perm == ((0, 1),)
+
+
+class TestPanelDriver:
+    """eliminate runs the steps in 64-column panels; eliminate_step one by one."""
+
+    def _agree(self, a, required):
+        c = OpCounter()
+        f = eliminate(a, required, counter=c)
+        state, muldiv = _stepwise(a, required)
+        assert c.muldiv == muldiv
+        dev = np.linalg.norm(f - state.f) / np.linalg.norm(state.f)
+        assert dev <= 1e-13
+        return f, state
+
+    @pytest.mark.parametrize("kind", ["full", "trailing1", "trailing_third", "scattered"])
+    @pytest.mark.parametrize("n", [63, 64, 65, 129, 200])
+    def test_matches_stepwise(self, n, kind):
+        a = _dominant(np.random.default_rng(1000 + n), n)
+        f, state = self._agree(a, _required(kind, n))
+        assert state.perm == ()
+        if n <= 64:  # one panel with no outside rows: the stepwise arithmetic
+            np.testing.assert_array_equal(f, state.f)
+
+    @pytest.mark.parametrize("kind", ["full", "trailing_third"])
+    @pytest.mark.parametrize("steps", [(0,), (5,), (64,), (70,), (5, 40)])
+    def test_swaps_match_stepwise(self, steps, kind):
+        n = 129
+        a = _vanishing_minors(_dominant(np.random.default_rng(2000 + n), n), *steps)
+        _, state = self._agree(a, _required(kind, n))
+        assert [k for k, _ in state.perm] == list(steps)
+
+    @pytest.mark.parametrize("k", [64, 70])
+    def test_zero_pivot_step_across_panels(self, k):
+        a = _vanishing_minors(_dominant(np.random.default_rng(k), 100), k)
+        before = a.copy()
+        for required in (None, RequiredSet.trailing(100, 1)):
+            with pytest.raises(ZeroPivot) as err:
+                eliminate(a, required, allow_swaps=False)
+            assert err.value.step == k
+        np.testing.assert_array_equal(a, before)
+
+    def test_singular_in_second_panel(self):
+        a = _dominant(np.random.default_rng(101), 100)
+        a[:, 80] = a[:, 3] + 0.5 * a[:, 10]  # rank deficient from column 80 on
+        before = a.copy()
+        with pytest.raises(SingularMatrix, match="step 80"):
+            invert(a)
+        np.testing.assert_array_equal(a, before)
 
 
 class TestRowIdentities:
