@@ -24,7 +24,7 @@ import sys
 from . import complexity, genbench
 from .errors import InvalidArgument, LinAlgError
 from .matcore import OpCounter
-from .mmio import read_matrix, write_matrix
+from .mmio import csv_lines, read_matrix, write_matrix
 
 
 def _parse_int_list(text, what):
@@ -44,8 +44,7 @@ def _parse_methods(text):
 
 
 def _print_matrix(stream, m):
-    for row in m:
-        stream.write(",".join("%.17g" % x for x in row) + "\n")
+    stream.writelines(csv_lines(m))
 
 
 def cmd_invert(args):

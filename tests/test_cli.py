@@ -2,12 +2,17 @@
 
 import csv
 import io
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import syminv
 from syminv import read_matrix, write_matrix
 from syminv.cli import main
+from syminv.genbench import MatrixFamily, generate
 
 
 def _write_sample(tmp_path, name="a.csv"):
@@ -53,6 +58,39 @@ class TestInvert:
         got = np.array([[float(x) for x in line.split(",")]
                         for line in out.strip().splitlines()])
         np.testing.assert_allclose(got, np.linalg.inv(a), atol=1e-13)
+
+    @pytest.mark.parametrize("method", ["v2", "gauss"])
+    def test_output_file_bytes_equal_stdout_bytes(self, tmp_path, method, capsys):
+        path = tmp_path / "a.csv"
+        write_matrix(str(path), generate(MatrixFamily("diag_dominant", 9, 3)))
+        dest = tmp_path / "inv.csv"
+        assert main(["invert", "--input", str(path), "--method", method,
+                     "--output", str(dest)]) == 0
+        capsys.readouterr()
+        assert main(["invert", "--input", str(path), "--method", method]) == 0
+        out = capsys.readouterr().out.encode()
+        assert b"\r" not in out
+        assert dest.read_bytes() == out
+
+    def test_csv_invert_does_not_import_scipy(self, tmp_path):
+        path, _ = _write_sample(tmp_path)
+        script = (
+            "import sys\n"
+            "from syminv.cli import main\n"
+            f"assert main(['invert', '--input', {str(path)!r}, "
+            f"'--output', {str(tmp_path / 'inv.csv')!r}]) == 0\n"
+            "assert main(['invert', '--input', sys.argv[1]]) == 0\n"
+            "print('scipy' in sys.modules)\n"
+        )
+        src = os.path.dirname(os.path.dirname(os.path.abspath(syminv.__file__)))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p)
+        proc = subprocess.run([sys.executable, "-c", script, str(path)],
+                              env=env, capture_output=True, text=True,
+                              timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "False"
 
     def test_unknown_method_is_usage_error(self, tmp_path, capsys):
         path, _ = _write_sample(tmp_path)
