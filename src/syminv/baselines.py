@@ -18,6 +18,12 @@ instruction: a triangular matrix-vector product is tallied without the
 structural zeros above the diagonal even though the vectorized kernel
 multiplies them, and the Krishnamoorthy-Menon row scalings are absorbed
 into its classical total.  Counts are integer-exact for every order n.
+
+The LDL^T factor and the solve phases of the LDL and Krishnamoorthy-
+Menon inversions are evaluated by 64-column blocks, each a matrix
+product (the kernels below are shared with ``symmetric``); their counts
+are still the per-row models above, each phase added as one sum.  The
+Cholesky factor and the Cholesky inversion's solves run row by row.
 """
 
 from __future__ import annotations
@@ -98,13 +104,51 @@ def invert_cholesky(a, counter=None, pivot_tol=None) -> np.ndarray:
     return mirror_lower(x)
 
 
+def _unit_lower_inverse(l):
+    """Inverse of the unit lower-triangular matrix with l's strict lower triangle.
+
+    Only the strict lower triangle of *l* is read.  Row loop on each
+    64x64 diagonal block, one product per block for the rows to its left.
+    """
+    n = l.shape[0]
+    m = np.zeros((n, n))
+    for s in range(0, n, _BLOCK):
+        e = min(s + _BLOCK, n)
+        blk = np.eye(e - s)
+        for i in range(1, e - s):
+            blk[i, :i] = -(l[s + i, s:s + i] @ blk[:i, :i])
+        m[s:e, s:e] = blk
+        if s:
+            m[s:e, :s] = -blk @ (l[s:e, :s] @ m[:s, :s])
+    return m
+
+
+def _lower_gram(x, y):
+    """Lower triangle of x^T y for lower-triangular x and y, upper part zero.
+
+    One product per 64-column block [c, e) of x: rows c..e-1 of the
+    result, up to column e-1, are x[c:, c:e]^T y[c:, :e], since the rows
+    of x[:, c:e] above c are zero.
+    """
+    n = x.shape[0]
+    out = np.zeros((n, n))
+    for c in range(0, n, _BLOCK):
+        e = min(c + _BLOCK, n)
+        out[c:e, :e] = x[c:, c:e].T @ y[c:, :e]
+        out[c:e, c:e] = np.tril(out[c:e, c:e])
+    return out
+
+
 def _ldl_nopiv_blocked(a, tol):
     """Unit-lower/diagonal factorization, no pivoting, no square roots.
 
-    Right-looking with blocked trailing updates; does not modify *a*.
-    Raises ZeroPivot(j) when pivot j, the ratio of the leading (j+1)- and
-    j-minors, is within *tol* of zero.  Returns (strictly lower factor,
-    diagonal vector).
+    Right-looking by 64-column panels; does not modify *a*.  The column
+    loop runs on the panel's diagonal block only.  The rows below it are
+    W = A21 M11^T (M11 the block's unit-lower inverse) and L21 = W / d,
+    and the trailing matrix takes L21 W^T in its lower part only, one
+    64-column block at a time.  Raises ZeroPivot(j) when pivot j, the
+    ratio of the leading (j+1)- and j-minors, is within *tol* of zero.
+    Returns (strictly lower factor, diagonal vector).
     """
     n = a.shape[0]
     work = a.copy()
@@ -117,12 +161,14 @@ def _ldl_nopiv_blocked(a, tol):
                 raise ZeroPivot(j)
             d[j] = dj
             w = work[j + 1:e, j].copy()
-            work[j + 1:, j] /= dj
-            if j + 1 < e:
-                work[j + 1:, j + 1:e] -= np.outer(work[j + 1:, j], w)
+            work[j + 1:e, j] /= dj
+            work[j + 1:e, j + 1:e] -= np.outer(work[j + 1:e, j], w)
         if e < n:
-            panel = work[e:, s:e]
-            work[e:, e:] -= (panel * d[s:e]) @ panel.T
+            w21 = work[e:, s:e] @ _unit_lower_inverse(work[s:e, s:e]).T
+            l21 = w21 / d[s:e]
+            work[e:, s:e] = l21
+            for c in range(0, n - e, _BLOCK):
+                work[e + c:, e + c:e + c + _BLOCK] -= l21[c:] @ w21[c:c + _BLOCK].T
     return np.tril(work, -1), d
 
 
@@ -152,23 +198,24 @@ def invert_ldl(a, counter=None, pivot_tol=None) -> np.ndarray:
     unit forward solve of L X = I (row i costs i(i-1)/2; unit diagonals
     are never multiplied), diagonal solve (row i costs i+1 divisions),
     and unit back solve of L^T R = D^-1 X (row i costs (n-1-i)(i+1)).
+    The forward solve is X = L^-1; the back solve runs by 64-row blocks
+    from the bottom, each a product with the block's diagonal block of
+    L^-1.
     """
     a = _checked_symmetric(a)
     n = a.shape[0]
     cnt = counter if counter is not None else OpCounter()
     fac = ldl_factor(a, cnt, pivot_tol)
-    l, d = fac.l, fac.d
-    x = np.eye(n)
-    for i in range(1, n):
-        x[i, :i] = -(l[i, :i] @ x[:i, :i])
-        cnt.add_muldiv(i * (i - 1) // 2)
-    for i in range(n):
-        x[i, :i + 1] /= d[i]
-        cnt.add_muldiv(i + 1)
+    l = fac.l
+    x = _unit_lower_inverse(l)
+    cnt.add_muldiv(sum(i * (i - 1) // 2 for i in range(n)))
+    y = x / fac.d[:, None]
+    cnt.add_muldiv(n * (n + 1) // 2)
     r = np.zeros((n, n))
-    for i in range(n - 1, -1, -1):
-        r[i, :i + 1] = x[i, :i + 1] - l[i + 1:, i] @ r[i + 1:, :i + 1]
-        cnt.add_muldiv((n - 1 - i) * (i + 1))
+    for s in reversed(range(0, n, _BLOCK)):
+        e = min(s + _BLOCK, n)
+        r[s:e, :e] = x[s:e, s:e].T @ (y[s:e, :e] - l[e:, s:e].T @ r[e:, :e])
+    cnt.add_muldiv(sum((n - 1 - i) * (i + 1) for i in range(n)))
     return mirror_lower(r)
 
 
@@ -179,21 +226,15 @@ def invert_km(a, counter=None, pivot_tol=None) -> np.ndarray:
     diagonals (row i costs one reciprocal plus i(i+1)/2 dot
     multiplications), then the lower triangle of R^T R (row i costs
     (i+1)(n-1-i)).  Total: n^3/2 + n^2/2 muldiv and n square roots.
+    R is evaluated as diag(1/l_ii) times the unit-lower inverse of L with
+    its columns divided by their diagonal entries.
     """
     a = _checked_symmetric(a)
     n = a.shape[0]
     cnt = counter if counter is not None else OpCounter()
     l = cholesky_factor(a, cnt, pivot_tol).l
-    r = np.zeros((n, n))
-    for i in range(n):
-        rii = 1.0 / l[i, i]
-        cnt.add_muldiv(1)
-        r[i, i] = rii
-        if i:
-            r[i, :i] = -rii * (l[i, :i] @ r[:i, :i])
-            cnt.add_muldiv(i * (i + 1) // 2)
-    inv = np.zeros((n, n))
-    for i in range(n):
-        inv[i, :i + 1] = r[i:, i] @ r[i:, :i + 1]
-        cnt.add_muldiv((i + 1) * (n - 1 - i))
-    return mirror_lower(inv)
+    lii = np.diag(l)
+    r = _unit_lower_inverse(l / lii) / lii[:, None]
+    cnt.add_muldiv(sum(1 + i * (i + 1) // 2 for i in range(n)))
+    cnt.add_muldiv(sum((i + 1) * (n - 1 - i) for i in range(n)))
+    return mirror_lower(_lower_gram(r, r))

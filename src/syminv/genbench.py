@@ -507,11 +507,13 @@ def _verify_panels(seed):
             if cnt.muldiv != step_cnt.muldiv:
                 return False, (f"panel count {cnt.muldiv} != stepwise count "
                                f"{step_cnt.muldiv} at n={n}")
+            if mat is swapped and cnt.muldiv != n ** 3:
+                return False, f"swap run count {cnt.muldiv} != n^3 at n={n}"
             if frobenius_norm(f - state.f) > 1e-13 * frobenius_norm(state.f):
                 return False, f"panel and stepwise results disagree at n={n}"
             runs += 1
     return True, (f"{runs} panel runs (n=65, 130: full, trailing-1, one swap) match "
-                  "eliminate_step: counts exact, F to 1e-13")
+                  "eliminate_step: counts exact (n^3 with the swap), F to 1e-13")
 
 
 def run_verification(max_n=40, seed=DEFAULT_SEED) -> list[tuple[str, bool, str]]:

@@ -16,7 +16,8 @@ import numpy as np
 from .errors import DimensionMismatch, IndexOutOfRange, InvalidArgument, NotSymmetric
 
 # Column-block width of the blocked kernels: the LDL^T factor, the
-# unit-lower inverse and the elimination's panels.
+# unit-lower inverse, the lower-triangle product, the LDL back solve and
+# the elimination's panels.
 _BLOCK = 64
 
 

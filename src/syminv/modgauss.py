@@ -10,18 +10,30 @@ which is where the savings of the partial solve come from.
 ``eliminate`` runs the steps in panels of 64 pivot columns [s, e).  Let
 F_s be the state before a panel.  Every active row's multipliers for
 the panel are D = F_s[rows] @ A[:, s:e], one matrix product.  The steps
-themselves run on the panel's own rows only, one at a time.  Every
-other active row then takes all of the panel's steps at once:
-F[i] -= D[i] @ P^-1 F_s[s:e], where P = F_s[s:e] @ A[:, s:e].  This
-holds because P^-1 F_s[s:e] is the only combination of the panel rows
-that satisfies their row identities for columns s..e-1, so it is what
-the panel rows become.  A panel row frozen inside the panel keeps its
-value from right after its own step.  A pivot at or below the
-tolerance ends the panel: the other rows first take the steps already
-done, then the step searches all active rows for a swap.  A run of at
-most 64 steps is one panel with no other rows, so it is the stepwise
-arithmetic exactly; ``eliminate_step`` always runs one step on every
-active row.
+themselves run on the panel's own rows only, one at a time, and 64
+wide: those rows stay combinations C F_s[s:e] of their values before
+the panel, and their multipliers are C P with P = F_s[s:e] @ A[:, s:e],
+so the steps run on C (from the identity) against P, with the same
+row profile, and the panel rows become C F_s[s:e] in one product.
+Every other active row then takes all of the panel's steps at once:
+F[i] -= D[i] @ P^-1 F_s[s:e].  This holds because P^-1 F_s[s:e] is the
+only combination of the panel rows that satisfies their row identities
+for columns s..e-1, so it is what the panel rows become.  A panel row
+frozen inside the panel keeps its value from right after its own step.
+A pivot at or below the tolerance ends the panel: the other rows first
+take the steps already done, then the step searches all active rows
+for a swap.  A run of at most 64 steps is one panel with no other rows
+and P = A, so it is the stepwise arithmetic exactly; ``eliminate_step``
+always runs one step on every active row.
+
+A swap at step k with row j exchanges rows k and j of a working copy
+of A and the pivoted parts F[k, :k] and F[j, :k], and logs (k, j).
+Every row keeps its profile, and the row identities now hold against
+the row-swapped A, so F ends as the inverse of Q A, Q the product of
+the logged swaps.  ``eliminate`` applies the log to F's columns once at
+the end: the required rows of F Q are rows of A^-1.  ``eliminate_step``
+maps every state the same way, so a state's F is always in the
+caller's coordinates.
 
 Cost model: only scalar multiplications and divisions are tallied
 (additions and subtractions are free).  Tallies follow the row-profile
@@ -29,10 +41,10 @@ structure of F — a pivoted row carries nonzeros in the pivoted columns
 only, an unpivoted row additionally carries its untouched identity entry
 — so a full inversion costs exactly n^3 and a trailing-p partial solve
 costs n^3/3 + n^2/2 + n/6 + p^2 n − p n − p^3/3 + p^2/2 − p/6 for the
-elimination, provided no pivot swap occurs.  After a swap the profile
-structure is gone; the remaining steps run (and are tallied) at full row
-width, so swap-bearing runs are excluded from count validation.  The
-panel rows' steps are tallied as they run; the other rows' share of
+elimination, with or without pivot swaps, since a swap keeps every
+row's profile.  The panel rows' steps are tallied as they run, each
+plus the 2 m s products by which a step on C (m rows, s columns
+narrower) falls short of the same step on F; the other rows' share of
 each step is the per-step model, added once per panel.  The stepwise
 ``eliminate_step`` measures the whole count, and it equals the panel
 driver's exactly.
@@ -77,30 +89,24 @@ def _run_step(a, f, k, rows, pivot_tol, counter, allow_swaps, swaps) -> None:
     """Apply elimination step k to f in place.
 
     rows holds the sorted indices of the rows to update: the active rows,
-    or in the panel driver the panel's active rows; either way every row
-    from k to rows[-1].  swaps is the mutable swap log; a non-empty log
-    means the profile structure is broken and full-width arithmetic is
-    used and tallied.  A rejected pivot raises before f or the counter
+    or in the panel driver the live rows of the panel's C against P;
+    either way every row from k to rows[-1].  A swap with row j
+    exchanges rows k and j of the working copy a and the pivoted parts
+    f[k, :k] and f[j, :k], so every row keeps its profile, and logs
+    (k, j) in swaps.  A rejected pivot raises before a, f or the counter
     is touched.
     """
-    n = a.shape[0]
     acol = a[:, k]
     m = int(rows.size)
     lo = int(rows[0])
     block = int(rows[-1]) - lo + 1 == m  # the rows form one contiguous block
-    dense = bool(swaps)
     kpos = int(np.searchsorted(rows, k))
 
     window = f[lo:lo + m] if block else f[rows]
-    if dense:
-        d = window @ acol
-        width = n
-    else:
-        d = window[:, :k] @ acol[:k]
-        # Unpivoted rows still hold their identity entry at (i, i), which
-        # contributes 1 * A[i, k]: an uncounted addition, not a multiply.
-        d[kpos:] += acol[k:k + m - kpos]
-        width = k
+    d = window[:, :k] @ acol[:k]
+    # Unpivoted rows still hold their identity entry at (i, i), which
+    # contributes 1 * A[i, k]: an uncounted addition, not a multiply.
+    d[kpos:] += acol[k:k + m - kpos]
 
     g = float(d[kpos])
     if abs(g) <= pivot_tol:
@@ -116,33 +122,27 @@ def _run_step(a, f, k, rows, pivot_tol, counter, allow_swaps, swaps) -> None:
                 f"no usable pivot at elimination step {k}: matrix is singular"
             )
         j = int(rows[jrel])
-        f[[k, j]] = f[[j, k]]
+        a[[k, j]] = a[[j, k]]
+        f[[k, j], :k] = f[[j, k], :k]
         d[kpos], d[jrel] = float(d[jrel]), g
         swaps.append((k, j))
-        dense = True
         g = float(d[kpos])
-    counter.add_muldiv(m * width)
+    counter.add_muldiv(m * k)
 
     r = 1.0 / g
     counter.add_muldiv(1)
-    if dense:
-        f[k, :] *= r
-        counter.add_muldiv(n)
-        hi = n
-    else:
-        f[k, :k] *= r
-        f[k, k] = r  # the identity entry becomes the reciprocal: no multiply
-        counter.add_muldiv(k)
-        hi = k + 1
+    f[k, :k] *= r
+    f[k, k] = r  # the identity entry becomes the reciprocal: no multiply
+    counter.add_muldiv(k)
 
-    pivot_row = f[k, :hi]
+    pivot_row = f[k, :k + 1]
     if block:
-        f[lo:k, :hi] -= np.outer(d[:kpos], pivot_row)
-        f[k + 1:lo + m, :hi] -= np.outer(d[kpos + 1:], pivot_row)
+        f[lo:k, :k + 1] -= np.outer(d[:kpos], pivot_row)
+        f[k + 1:lo + m, :k + 1] -= np.outer(d[kpos + 1:], pivot_row)
     else:
         others = np.delete(rows, kpos)
-        f[others, :hi] -= np.outer(np.delete(d, kpos), pivot_row)
-    counter.add_muldiv((m - 1) * hi)
+        f[others, :k + 1] -= np.outer(np.delete(d, kpos), pivot_row)
+    counter.add_muldiv((m - 1) * (k + 1))
 
 
 def _run_panel(a, f, s, mask, pivot_tol, counter, allow_swaps, swaps) -> int:
@@ -153,44 +153,54 @@ def _run_panel(a, f, s, mask, pivot_tol, counter, allow_swaps, swaps) -> int:
     """
     n = a.shape[0]
     e = min(s + _BLOCK, n)
-    dense = bool(swaps)
-    width = n if dense else s
     above = np.flatnonzero(mask[:s])  # active rows already pivoted
     up = slice(0, s) if above.size == s else above  # a view when all are active
     # Multipliers of the panel's steps with respect to the state F_s before
-    # it: D = F_s[rows] @ A[:, s:e], by the row profile of F_s.
-    d_up = f[up, :width] @ a[:width, s:e]
-    d_low = f[s:, :width] @ a[:width, s:e]
-    if not dense:
-        d_low += a[s:, s:e]  # identity entries of the unpivoted rows
-    f_s = f[s:e, :n if dense else e].copy()
+    # it: D = F_s[rows] @ A[:, s:e], by the row profile of F_s, plus the
+    # identity entries of the unpivoted rows.
+    d_up = f[up, :s] @ a[:s, s:e]
+    d_low = f[s:, :s] @ a[:s, s:e] + a[s:, s:e]
+    f_s = f[s:e, :e].copy()
 
+    # The panel rows stay combinations C F_s[s:e] of their rows before it,
+    # with multipliers C P, P = D[s:e]: the steps run 64 wide on C and P,
+    # and each is tallied 2 m s short of the same step on m rows of F.
+    c = np.eye(e - s)
     live = np.ones(e - s, dtype=bool)
     stop = e
+    stepped = 0  # sum of m over the panel's steps
     for k in range(s, e):
+        rows = np.flatnonzero(live)
         try:
-            _run_step(a, f, k, s + np.flatnonzero(live), pivot_tol, counter,
-                      False, swaps)
+            _run_step(d_low[:e - s], c, k - s, rows, pivot_tol, counter, False, swaps)
         except ZeroPivot:
             if not allow_swaps:
-                raise
+                raise ZeroPivot(k) from None
             stop = k
             break
+        stepped += rows.size
         live[k - s] = mask[k]
+    counter.add_muldiv(2 * s * stepped)
+    f[s:e, :e] = c @ f_s
 
     # Every other active row takes the panel's steps s..stop-1 at once.
     outside = above.size + n - e
     j = stop - s
     if j and outside:
-        hi = n if dense else stop
-        w = np.linalg.solve(d_low[:j, :j], f_s[:j, :hi])  # P^-1 F_s[s:stop]
-        f[up, :hi] -= d_up[:, :j] @ w
-        f[e:, :hi] -= d_low[e - s:, :j] @ w
-        counter.add_muldiv(outside * (2 * n * j if dense else stop * stop - s * s))
+        w = np.linalg.solve(d_low[:j, :j], f_s[:j, :stop])  # P^-1 F_s[s:stop]
+        f[up, :stop] -= d_up[:, :j] @ w
+        f[e:, :stop] -= d_low[e - s:, :j] @ w
+        counter.add_muldiv(outside * (stop * stop - s * s))
     if stop == e:
         return e
     _run_step(a, f, stop, _active_rows(mask, stop), pivot_tol, counter, True, swaps)
     return stop + 1
+
+
+def _to_caller(f, swaps) -> None:
+    """Map f's columns from the row-swapped working A back to the caller's A."""
+    for k, j in reversed(swaps):
+        f[:, [k, j]] = f[:, [j, k]]
 
 
 def eliminate(a, required=None, counter=None, pivot_tol=None, allow_swaps=True) -> np.ndarray:
@@ -200,7 +210,7 @@ def eliminate(a, required=None, counter=None, pivot_tol=None, allow_swaps=True) 
     partial required set only the required rows of the result are rows of
     A^-1; the other rows were frozen early to save operations.
     """
-    a = as_matrix(a)
+    a = as_matrix(a)  # the working copy whose rows the swaps exchange
     n = a.shape[0]
     mask = _coerce_required(required, n).mask(n)
     cnt = counter if counter is not None else OpCounter()
@@ -210,6 +220,7 @@ def eliminate(a, required=None, counter=None, pivot_tol=None, allow_swaps=True) 
     s = 0
     while s < n:
         s = _run_panel(a, f, s, mask, tol, cnt, allow_swaps, swaps)
+    _to_caller(f, swaps)
     return f
 
 
@@ -242,9 +253,10 @@ def solve(a, b, required, counter=None, pivot_tol=None, allow_swaps=True) -> dic
 class EliminationState:
     """Snapshot of an elimination in progress.
 
-    f evolves from the identity toward A^-1; step counts completed
-    steps; perm records row swaps as (step, swapped_row) pairs.  States
-    are immutable: eliminate_step returns a new snapshot.
+    f evolves from the identity toward A^-1, in the caller's
+    coordinates; step counts completed steps; perm records the swaps as
+    (step, swapped_row) pairs.  States are immutable: eliminate_step
+    returns a new snapshot and leaves a as given.
     """
 
     a: np.ndarray
@@ -272,11 +284,16 @@ def eliminate_step(state: EliminationState, counter=None, allow_swaps=True) -> E
     n = state.a.shape[0]
     if state.step >= n:
         raise InvalidArgument(f"elimination already complete after {state.step} steps")
+    a = state.a.copy()
     f = state.f.copy()
     swaps = list(state.perm)
+    for k, j in swaps:  # into the working coordinates of the run so far
+        a[[k, j]] = a[[j, k]]
+        f[:, [k, j]] = f[:, [j, k]]
     cnt = counter if counter is not None else OpCounter()
-    _run_step(state.a, f, state.step, state.active_rows(), state.pivot_tol,
+    _run_step(a, f, state.step, state.active_rows(), state.pivot_tol,
               cnt, allow_swaps, swaps)
+    _to_caller(f, swaps)
     return dataclasses.replace(state, f=f, step=state.step + 1, perm=tuple(swaps))
 
 

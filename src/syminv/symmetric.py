@@ -42,10 +42,9 @@ from __future__ import annotations
 import numpy as np
 
 from . import modgauss
-from .baselines import _ldl_nopiv_blocked
+from .baselines import _ldl_nopiv_blocked, _lower_gram, _unit_lower_inverse
 from .errors import InvalidArgument, ZeroPivot
 from .matcore import (
-    _BLOCK,
     OpCounter,
     RequiredSet,
     SymmetryCheck,
@@ -76,9 +75,9 @@ def complete_lower(f, counter=None) -> np.ndarray:
     Adds outer(row_k / f_kk, row_k) to the leading k-block for
     k = 1..n-1.  Since F is lower triangular and f_kk / f_kk is exactly
     one, the completed entries are the lower triangle of U^T F with
-    U = diag(F)^-1 F, evaluated as one matrix product.  Mutates nothing;
-    returns an exactly lower-triangular matrix whose lower triangle is
-    that of the full inverse.  Tallies the per-step model (k divisions
+    U = diag(F)^-1 F, evaluated by 64-column blocks of U.  Mutates
+    nothing; returns an exactly lower-triangular matrix whose lower
+    triangle is that of the full inverse.  Tallies the per-step model (k divisions
     and k(k+1)/2 products at step k): n^3/6 + n^2/2 - 2n/3.
     """
     f = as_matrix(f)
@@ -86,7 +85,7 @@ def complete_lower(f, counter=None) -> np.ndarray:
     cnt = counter if counter is not None else OpCounter()
     u = f / np.diag(f)[:, None]
     cnt.add_muldiv(sum(k + k * (k + 1) // 2 for k in range(1, n)))
-    return np.tril(u.T @ f)
+    return _lower_gram(u, f)
 
 
 def invert_v1_parts(a, counter=None, pivot_tol=None):
@@ -109,21 +108,6 @@ def invert_v1(a, counter=None, pivot_tol=None) -> np.ndarray:
     numerically zero (no row swaps are attempted).
     """
     return invert_v1_parts(a, counter, pivot_tol)[2]
-
-
-def _unit_lower_inverse(l_strict):
-    """Invert I + l_strict (unit lower triangular), block column by block."""
-    n = l_strict.shape[0]
-    m = np.zeros((n, n))
-    for s in range(0, n, _BLOCK):
-        e = min(s + _BLOCK, n)
-        blk = np.eye(e - s)
-        for i in range(1, e - s):
-            blk[i, :i] = -(l_strict[s + i, s:s + i] @ blk[:i, :i])
-        m[s:e, s:e] = blk
-        if s:
-            m[s:e, :s] = -blk @ (l_strict[s:e, :s] @ m[:s, :s])
-    return m
 
 
 def invert_v2(a, counter=None, pivot_tol=None) -> np.ndarray:
@@ -151,7 +135,7 @@ def invert_v2(a, counter=None, pivot_tol=None) -> np.ndarray:
     # the column of coefficients, and the two rank-one updates.
     cnt.add_muldiv(sum((n - k) * k + 1 + k + (n - k - 1)
                        + (n - k - 1) * k + k * (k + 1) // 2 for k in range(n)))
-    return mirror_lower(m.T @ (m / d[:, None]))
+    return mirror_lower(_lower_gram(m, m / d[:, None]))
 
 
 def invert_v2_reference(a, counter=None, pivot_tol=None) -> np.ndarray:
@@ -243,10 +227,11 @@ def invert_symmetric_robust(a, counter=None, pivot_tol=None) -> np.ndarray:
     """Symmetric inversion that survives zero leading minors.
 
     Tries the single-sweep variant first; if a leading minor is
-    numerically zero, falls back to the row-swapping elimination and
-    symmetrizes its result as (R + R^T) / 2, which costs n^2 extra
-    multiplications.  Only the operations of the path that produced the
-    result are added to the counter.
+    numerically zero, falls back to the row-swapping elimination (n^3,
+    since its swaps keep the row profile) and symmetrizes its result as
+    (R + R^T) / 2, which costs n^2 extra multiplications: n^3 + n^2 in
+    all.  Only the operations of the path that produced the result are
+    added to the counter.
     """
     a = _checked_symmetric(a)
     cnt = counter if counter is not None else OpCounter()

@@ -3,7 +3,8 @@
 Everything here is deliberately written with a different algorithm than
 the code under test: determinants by Laplace expansion over column
 subsets, inverses by the cofactor/adjugate formula, matrix products by
-the literal triple loop, and eigenvalues by cyclic Jacobi rotations.
+the literal triple loop, the LDL^T factor one column at a time from the
+left, and eigenvalues by cyclic Jacobi rotations.
 They are exponential or cubic with large constants, so callers keep the
 orders small (n <= 12 for determinants, n <= 8 in bulk).
 """
@@ -74,6 +75,18 @@ def matmul_triple(a, b):
                 s += a[i, k] * b[k, j]
             out[i, j] = s
     return out
+
+
+def ldl_columns(a):
+    """Unit-lower l and diagonal d with a = l diag(d) l^T, left-looking by column."""
+    a = np.asarray(a, dtype=float)
+    n = a.shape[0]
+    l = np.eye(n)
+    d = np.empty(n)
+    for j in range(n):
+        d[j] = a[j, j] - (l[j, :j] * l[j, :j]) @ d[:j]
+        l[j + 1:, j] = (a[j + 1:, j] - l[j + 1:, :j] @ (l[j, :j] * d[:j])) / d[j]
+    return l, d
 
 
 def jacobi_eigenvalues(a, sweeps=60, tol=1e-14):

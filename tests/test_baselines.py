@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from oracles import inverse_bruteforce, random_symmetric
+from oracles import inverse_bruteforce, ldl_columns, random_symmetric
 from syminv import (
     NotPositiveDefinite,
     NotSymmetric,
@@ -13,10 +13,12 @@ from syminv import (
     invert_cholesky,
     invert_km,
     invert_ldl,
+    invert_v2,
     ldl_factor,
     q_theor,
     s_theor,
 )
+from syminv.baselines import _lower_gram
 
 
 def _spd(rng, n):
@@ -145,3 +147,64 @@ class TestInversions:
         a = _spd(np.random.default_rng(191), 9)
         inv = func(a)
         np.testing.assert_array_equal(inv, inv.T)
+
+
+def _vanishing_minor(a, j):
+    """Symmetric a with row and column j zeroed up to the diagonal: pivot j is 0."""
+    a = a.copy()
+    a[j, :j + 1] = 0.0
+    a[:j + 1, j] = 0.0
+    return a
+
+
+def _indefinite(rng, n):
+    """Symmetric, diagonally dominant, with diagonal signs alternating."""
+    m = _spd(rng, n)
+    m[np.diag_indices(n)] *= np.where(np.arange(n) % 2, -1.0, 1.0)
+    return m
+
+
+class TestBlockedKernels:
+    """The 64-column kernels: LDL^T factor, lower-only product, solve phases."""
+
+    @pytest.mark.parametrize("j", [0, 63, 64, 65, 130])
+    def test_zero_pivot_step(self, j):
+        a = _vanishing_minor(_spd(np.random.default_rng(700 + j), 200), j)
+        for func in (ldl_factor, invert_v2, invert_ldl):
+            with pytest.raises(ZeroPivot) as err:
+                func(a)
+            assert err.value.step == j
+
+    @pytest.mark.parametrize("n", [1, 63, 64, 65, 200])
+    def test_factor_matches_column_oracle(self, n):
+        rng = np.random.default_rng(710 + n)
+        for a in (_spd(rng, n), _indefinite(rng, n)):
+            fac = ldl_factor(a)
+            l, d = ldl_columns(a)
+            assert np.linalg.norm(fac.l - l) <= 1e-13 * np.linalg.norm(l)
+            assert np.linalg.norm(fac.d - d) <= 1e-13 * np.linalg.norm(d)
+            assert np.abs(np.triu(fac.l, 1)).max(initial=0.0) == 0.0
+
+    @pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 130, 200])
+    def test_lower_gram(self, n):
+        rng = np.random.default_rng(720 + n)
+        x = np.tril(rng.uniform(-1, 1, (n, n)))
+        y = np.tril(rng.uniform(-1, 1, (n, n)))
+        want = np.tril(x.T @ y)
+        got = _lower_gram(x, y)
+        assert np.abs(np.triu(got, 1)).max(initial=0.0) == 0.0
+        assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+
+    @pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 130])
+    def test_blocked_inversions(self, n):
+        rng = np.random.default_rng(730 + n)
+        cases = [(invert_ldl, "ldl", _spd(rng, n)), (invert_km, "km", _spd(rng, n)),
+                 (invert_ldl, "ldl", _indefinite(rng, n))]
+        for func, name, a in cases:
+            c = OpCounter()
+            x = func(a, c)
+            np.testing.assert_array_equal(x, x.T)
+            bound = 1e-10 * (1.0 + np.linalg.norm(a) * np.linalg.norm(x))
+            assert np.linalg.norm(a @ x - np.eye(n)) <= bound, name
+            assert c.muldiv == q_theor(name, n), name
+            assert c.sqrt == s_theor(name, n), name

@@ -123,7 +123,8 @@ class TestBench:
         dest = tmp_path / "report.csv"
         assert main(["bench", "--experiment", "1", "--sizes", "5",
                      "--methods", "v2,km", "--output", str(dest)]) == 0
-        rows = list(csv.reader(dest.open()))
+        with dest.open() as fh:
+            rows = list(csv.reader(fh))
         assert [r[0] for r in rows[1:]] == ["v2", "km"]
         assert capsys.readouterr().out == ""
 

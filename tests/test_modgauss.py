@@ -239,6 +239,54 @@ class TestPanelDriver:
         _, state = self._agree(a, _required(kind, n))
         assert [k for k, _ in state.perm] == list(steps)
 
+    @pytest.mark.parametrize("kind", ["full", "trailing1", "trailing_third"])
+    @pytest.mark.parametrize("k", [0, 5, 64, 70])
+    def test_swap_runs_cost_the_no_swap_model(self, k, kind):
+        n = 129
+        required = _required(kind, n)
+        want = q_theor("modgauss_p", n, n if required is None else len(required))
+        a = _vanishing_minors(_dominant(np.random.default_rng(3000 + k), n), k)
+        c = OpCounter()
+        f = eliminate(a, required, counter=c)
+        assert c.muldiv == want
+        state, muldiv = _stepwise(a, required)
+        assert muldiv == want
+        assert [s for s, _ in state.perm] == [k]
+        mask = np.ones(n, bool) if required is None else required.mask(n)
+        np.testing.assert_allclose(f[mask] @ a, np.eye(n)[mask], rtol=0, atol=1e-10)
+
+    def test_many_swaps_invert_and_cost_n_cubed(self):
+        n = 129
+        rng = np.random.default_rng(3100)
+        # A scaled permutation matrix: most leading minors vanish exactly,
+        # and the swaps chain through the same rows.
+        a = np.eye(n)[rng.permutation(n)] * rng.uniform(1, 2, n)
+        c = OpCounter()
+        f = invert(a, counter=c)
+        state, muldiv = _stepwise(a)
+        assert len(state.perm) > n // 2
+        assert c.muldiv == muldiv == n ** 3
+        np.testing.assert_allclose(f @ a, np.eye(n), rtol=0, atol=1e-10)
+        np.testing.assert_allclose(state.f @ a, np.eye(n), rtol=0, atol=1e-10)
+
+    def test_swap_step_leaves_inputs_unchanged(self):
+        a = _vanishing_minors(_dominant(np.random.default_rng(7), 6), 2)
+        before = a.copy()
+        state = EliminationState.start(a)
+        for _ in range(2):
+            state = eliminate_step(state)
+        a_before, f_before = state.a.copy(), state.f.copy()
+        after = eliminate_step(state)
+        assert after.perm[-1][0] == 2
+        np.testing.assert_array_equal(a, before)
+        np.testing.assert_array_equal(state.a, a_before)
+        np.testing.assert_array_equal(state.f, f_before)
+        np.testing.assert_array_equal(after.a, before)
+        # F stays in the caller's coordinates: the rows still active
+        # satisfy their row identities against the caller's A.
+        np.testing.assert_allclose(after.f[3:] @ a[:, :3], 0.0, atol=1e-12)
+        np.testing.assert_allclose(after.f[:3] @ a[:, :3], np.eye(3), atol=1e-12)
+
     @pytest.mark.parametrize("k", [64, 70])
     def test_zero_pivot_step_across_panels(self, k):
         a = _vanishing_minors(_dominant(np.random.default_rng(k), 100), k)

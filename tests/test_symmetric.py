@@ -234,12 +234,12 @@ class TestRobustWrapper:
         a = generate(MatrixFamily("zero_leading_minor", n, 151))
         c = OpCounter()
         inv = invert_symmetric_robust(a, c)
-        # swapping elimination (dense after the swap, so costlier than n^3)
-        # plus the n^2 symmetrization products
+        # swapping elimination (n^3: its swaps keep the row profile) plus
+        # the n^2 symmetrization products
         plain = OpCounter()
         invert(a, counter=plain)
         assert c.muldiv == plain.muldiv + n ** 2
-        assert c.muldiv > n ** 3
+        assert c.muldiv == n ** 3 + n ** 2
         assert c.sqrt == 0
         np.testing.assert_array_equal(inv, inv.T)
         np.testing.assert_allclose(inv @ a, np.eye(n), atol=1e-12)
