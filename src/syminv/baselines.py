@@ -53,7 +53,7 @@ class LdlFactor:
     d: np.ndarray
 
 
-def cholesky_factor(a, counter=None, pivot_tol=None) -> CholFactor:
+def cholesky_factor(a, counter=None) -> CholFactor:
     """Factor a symmetric positive definite matrix as L L^T.
 
     Column j costs j multiplications for the diagonal, one square root,
@@ -64,13 +64,12 @@ def cholesky_factor(a, counter=None, pivot_tol=None) -> CholFactor:
     a = _checked_symmetric(a)
     n = a.shape[0]
     cnt = counter if counter is not None else OpCounter()
-    tol = default_pivot_tol(a) if pivot_tol is None else float(pivot_tol)
-    tol2 = tol * tol
+    tol = default_pivot_tol(a)
     l = np.zeros((n, n))
     for j in range(n):
         under = float(a[j, j]) - float(l[j, :j] @ l[j, :j])
         cnt.add_muldiv(j)
-        if under <= tol2:
+        if under <= tol * tol:
             raise NotPositiveDefinite(j)
         ljj = math.sqrt(under)
         cnt.add_sqrt(1)
@@ -80,7 +79,7 @@ def cholesky_factor(a, counter=None, pivot_tol=None) -> CholFactor:
     return CholFactor(l=l)
 
 
-def invert_cholesky(a, counter=None, pivot_tol=None) -> np.ndarray:
+def invert_cholesky(a, counter=None) -> np.ndarray:
     """Invert a symmetric positive definite matrix via its Cholesky factor.
 
     Costs n^3/2 + 3n^2/2 multiplications and divisions plus n square
@@ -88,10 +87,9 @@ def invert_cholesky(a, counter=None, pivot_tol=None) -> np.ndarray:
     (i+1)(i+2)/2), then bottom-up back solve of L^T X = B restricted to
     the lower triangle (row i costs (i+1)(n-i)).
     """
-    a = _checked_symmetric(a)
-    n = a.shape[0]
     cnt = counter if counter is not None else OpCounter()
-    l = cholesky_factor(a, cnt, pivot_tol).l
+    l = cholesky_factor(a, cnt).l
+    n = l.shape[0]
     b = np.zeros((n, n))
     for i in range(n):
         b[i, :i] = -(l[i, :i] @ b[:i, :i]) / l[i, i]
@@ -139,40 +137,41 @@ def _lower_gram(x, y):
     return out
 
 
-def _ldl_nopiv_blocked(a, tol):
+def _ldl_nopiv_blocked(a):
     """Unit-lower/diagonal factorization, no pivoting, no square roots.
 
-    Right-looking by 64-column panels; does not modify *a*.  The column
-    loop runs on the panel's diagonal block only.  The rows below it are
-    W = A21 M11^T (M11 the block's unit-lower inverse) and L21 = W / d,
-    and the trailing matrix takes L21 W^T in its lower part only, one
-    64-column block at a time.  Raises ZeroPivot(j) when pivot j, the
-    ratio of the leading (j+1)- and j-minors, is within *tol* of zero.
-    Returns (strictly lower factor, diagonal vector).
+    Right-looking by 64-column panels; overwrites *a*, the caller's
+    private checked copy.  The column loop runs on the panel's diagonal
+    block only.  The rows below it are W = A21 M11^T (M11 the block's
+    unit-lower inverse) and L21 = W / d, and the trailing matrix takes
+    L21 W^T in its lower part only, one 64-column block at a time.
+    Raises ZeroPivot(j) when pivot j, the ratio of the leading (j+1)-
+    and j-minors, is within ``default_pivot_tol(a)`` of zero.  Returns
+    (strictly lower factor, diagonal vector).
     """
     n = a.shape[0]
-    work = a.copy()
+    tol = default_pivot_tol(a)
     d = np.empty(n)
     for s in range(0, n, _BLOCK):
         e = min(s + _BLOCK, n)
         for j in range(s, e):
-            dj = float(work[j, j])
+            dj = float(a[j, j])
             if abs(dj) <= tol:
                 raise ZeroPivot(j)
             d[j] = dj
-            w = work[j + 1:e, j].copy()
-            work[j + 1:e, j] /= dj
-            work[j + 1:e, j + 1:e] -= np.outer(work[j + 1:e, j], w)
+            w = a[j + 1:e, j].copy()
+            a[j + 1:e, j] /= dj
+            a[j + 1:e, j + 1:e] -= np.outer(a[j + 1:e, j], w)
         if e < n:
-            w21 = work[e:, s:e] @ _unit_lower_inverse(work[s:e, s:e]).T
+            w21 = a[e:, s:e] @ _unit_lower_inverse(a[s:e, s:e]).T
             l21 = w21 / d[s:e]
-            work[e:, s:e] = l21
+            a[e:, s:e] = l21
             for c in range(0, n - e, _BLOCK):
-                work[e + c:, e + c:e + c + _BLOCK] -= l21[c:] @ w21[c:c + _BLOCK].T
-    return np.tril(work, -1), d
+                a[e + c:, e + c:e + c + _BLOCK] -= l21[c:] @ w21[c:c + _BLOCK].T
+    return np.tril(a, -1), d
 
 
-def ldl_factor(a, counter=None, pivot_tol=None) -> LdlFactor:
+def ldl_factor(a, counter=None) -> LdlFactor:
     """Factor a symmetric matrix as L D L^T with unit lower-triangular L.
 
     The tally follows the column-wise model without cached subproducts:
@@ -184,14 +183,13 @@ def ldl_factor(a, counter=None, pivot_tol=None) -> LdlFactor:
     a = _checked_symmetric(a)
     n = a.shape[0]
     cnt = counter if counter is not None else OpCounter()
-    tol = default_pivot_tol(a) if pivot_tol is None else float(pivot_tol)
-    l, d = _ldl_nopiv_blocked(a, tol)
+    l, d = _ldl_nopiv_blocked(a)
     l[np.diag_indices(n)] = 1.0
     cnt.add_muldiv(sum(2 * j + (n - 1 - j) * (2 * j + 1) for j in range(n)))
     return LdlFactor(l=l, d=d)
 
 
-def invert_ldl(a, counter=None, pivot_tol=None) -> np.ndarray:
+def invert_ldl(a, counter=None) -> np.ndarray:
     """Invert a symmetric matrix via L D L^T, square-root-free.
 
     Costs 2n^3/3 + n^2/2 - n/6 multiplications and divisions: factor,
@@ -202,11 +200,10 @@ def invert_ldl(a, counter=None, pivot_tol=None) -> np.ndarray:
     from the bottom, each a product with the block's diagonal block of
     L^-1.
     """
-    a = _checked_symmetric(a)
-    n = a.shape[0]
     cnt = counter if counter is not None else OpCounter()
-    fac = ldl_factor(a, cnt, pivot_tol)
+    fac = ldl_factor(a, cnt)
     l = fac.l
+    n = l.shape[0]
     x = _unit_lower_inverse(l)
     cnt.add_muldiv(sum(i * (i - 1) // 2 for i in range(n)))
     y = x / fac.d[:, None]
@@ -219,7 +216,7 @@ def invert_ldl(a, counter=None, pivot_tol=None) -> np.ndarray:
     return mirror_lower(r)
 
 
-def invert_km(a, counter=None, pivot_tol=None) -> np.ndarray:
+def invert_km(a, counter=None) -> np.ndarray:
     """Invert a symmetric positive definite matrix the Krishnamoorthy-Menon way.
 
     Cholesky factor, triangular inverse R = L^-1 with reciprocal
@@ -229,10 +226,9 @@ def invert_km(a, counter=None, pivot_tol=None) -> np.ndarray:
     R is evaluated as diag(1/l_ii) times the unit-lower inverse of L with
     its columns divided by their diagonal entries.
     """
-    a = _checked_symmetric(a)
-    n = a.shape[0]
     cnt = counter if counter is not None else OpCounter()
-    l = cholesky_factor(a, cnt, pivot_tol).l
+    l = cholesky_factor(a, cnt).l
+    n = l.shape[0]
     lii = np.diag(l)
     r = _unit_lower_inverse(l / lii) / lii[:, None]
     cnt.add_muldiv(sum(1 + i * (i + 1) // 2 for i in range(n)))

@@ -17,8 +17,6 @@ inapplicable method, failed verification), and 2 on a usage error.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import sys
 
 from . import complexity, genbench
@@ -50,10 +48,7 @@ def _print_matrix(stream, m):
 def cmd_invert(args):
     a = read_matrix(args.input)
     counter = OpCounter()
-    func = genbench.METHOD_FUNCS.get(args.method)
-    if func is None:
-        raise InvalidArgument(f"unknown method {args.method!r}")
-    inv = func(a, counter)
+    inv = genbench.METHOD_FUNCS[args.method](a, counter)
     if args.output:
         write_matrix(args.output, inv)
         count_stream = sys.stdout
@@ -80,29 +75,11 @@ def cmd_bench(args):
     return 0
 
 
-def _render_count_table(rows, format):
-    columns = ("method", "n", "muldiv", "sqrt")
-    cells = [[str(row[c]) for c in columns] for row in rows]
-    if format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(columns)
-        writer.writerows(cells)
-        return buf.getvalue()
-    if format == "markdown":
-        lines = [
-            "| " + " | ".join(columns) + " |",
-            "|" + "|".join(" --- " for _ in columns) + "|",
-        ]
-        lines.extend("| " + " | ".join(row) + " |" for row in cells)
-        return "\n".join(lines) + "\n"
-    raise InvalidArgument(f"unknown format {format!r}; expected csv or markdown")
-
-
 def cmd_count(args):
     sizes = _parse_int_list(args.sizes, "matrix orders")
-    table = complexity.count_table(sizes)
-    sys.stdout.write(_render_count_table(table, args.format))
+    columns = ("method", "n", "muldiv", "sqrt")
+    rows = [[str(row[c]) for c in columns] for row in complexity.count_table(sizes)]
+    sys.stdout.write(genbench.render_table(columns, rows, args.format))
     return 0
 
 
@@ -174,10 +151,7 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (LinAlgError, InvalidArgument) as exc:
-        print(f"syminv: error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (LinAlgError, OSError) as exc:
         print(f"syminv: error: {exc}", file=sys.stderr)
         return 1
 

@@ -49,7 +49,7 @@ METHOD_FUNCS = {
     "robust": symmetric.invert_symmetric_robust,
 }
 
-DEFAULT_METHODS = ("cholesky", "ldl", "km", "v1", "v2")
+DEFAULT_METHODS = complexity.TABLE_METHODS
 
 # complexity-formula name for each runnable method (robust has no formula:
 # its cost depends on which path succeeds)
@@ -61,8 +61,6 @@ DEFAULT_SIZES = {1: (100, 500), 2: (100, 300, 500, 1000), 3: (100, 300, 500, 100
 _EXPERIMENT_FAMILY = {1: "diag_dominant", 2: "diag_dominant", 3: "non_dominant"}
 
 DEFAULT_SEED = 42
-
-_TIMING_RUNS = 5
 
 
 @dataclass(frozen=True)
@@ -169,11 +167,11 @@ def _method_func(name):
         ) from None
 
 
-def time_method(func, a, runs=_TIMING_RUNS) -> float:
-    """Median wall time of *runs* uncounted invocations after one warm-up."""
+def time_method(func, a) -> float:
+    """Median wall time of five uncounted invocations after one warm-up."""
     func(a)
     times = []
-    for _ in range(runs):
+    for _ in range(5):
         t0 = time.perf_counter()
         func(a)
         times.append(time.perf_counter() - t0)
@@ -270,26 +268,34 @@ def _report_row(rep: InversionReport) -> list[str]:
     ]
 
 
-def emit_report(reports, format="csv") -> str:
-    """Render reports as CSV or a markdown pipe table (stable column order)."""
-    if not reports:
-        raise InvalidArgument("no reports to emit")
-    rows = [_report_row(r) for r in reports]
+def render_table(columns, rows, format="csv") -> str:
+    """Render rows of string cells as CSV or a markdown pipe table.
+
+    CSV uses RFC-4180 quoting; an empty markdown cell is written as one
+    space.
+    """
     if format == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(REPORT_COLUMNS)
+        writer.writerow(columns)
         writer.writerows(rows)
         return buf.getvalue()
     if format == "markdown":
         lines = [
-            "| " + " | ".join(REPORT_COLUMNS) + " |",
-            "|" + "|".join(" --- " for _ in REPORT_COLUMNS) + "|",
+            "| " + " | ".join(columns) + " |",
+            "|" + "|".join(" --- " for _ in columns) + "|",
         ]
         for row in rows:
             lines.append("| " + " | ".join(cell or " " for cell in row) + " |")
         return "\n".join(lines) + "\n"
-    raise InvalidArgument(f"unknown report format {format!r}; expected csv or markdown")
+    raise InvalidArgument(f"unknown format {format!r}; expected csv or markdown")
+
+
+def emit_report(reports, format="csv") -> str:
+    """Render reports as CSV or a markdown pipe table (stable column order)."""
+    if not reports:
+        raise InvalidArgument("no reports to emit")
+    return render_table(REPORT_COLUMNS, [_report_row(r) for r in reports], format)
 
 
 # ---------------------------------------------------------------------------

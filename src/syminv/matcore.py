@@ -188,24 +188,23 @@ def frobenius_norm(m) -> float:
     return float(math.sqrt(float((m * m).sum())))
 
 
-def norm2_estimate(m, iters: int = 200, tol: float = 1e-12) -> float:
+def norm2_estimate(m) -> float:
     """Largest singular value of *m*, estimated by power iteration on m^T m.
 
-    Starts from a fixed deterministic vector and stops early once the
-    estimate is stable to *tol* (relative).  The estimate converges from
-    below, so it never exceeds ``frobenius_norm(m)`` beyond rounding.
+    Starts from a fixed deterministic vector and runs at most 200
+    iterations, stopping early once the estimate is stable to 1e-12
+    (relative).  The estimate converges from below, so it never exceeds
+    ``frobenius_norm(m)`` beyond rounding.
     """
     a = np.asarray(m, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionMismatch(f"expected a square matrix, got shape {a.shape}")
-    if iters < 1:
-        raise InvalidArgument("iters must be positive")
     n = a.shape[0]
     v = np.linspace(1.0, 2.0, n)
     v /= math.sqrt(float(v @ v))
     est = 0.0
     prev = -1.0
-    for _ in range(iters):
+    for _ in range(200):
         w = a @ v
         est = math.sqrt(float(w @ w))
         z = a.T @ w
@@ -213,7 +212,7 @@ def norm2_estimate(m, iters: int = 200, tol: float = 1e-12) -> float:
         if zn == 0.0:
             return est
         v = z / zn
-        if abs(est - prev) <= tol * max(est, 1.0):
+        if abs(est - prev) <= 1e-12 * max(est, 1.0):
             break
         prev = est
     return est

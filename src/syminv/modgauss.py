@@ -62,7 +62,12 @@ from .matcore import _BLOCK, OpCounter, RequiredSet, as_matrix, as_vector, frobe
 
 
 def default_pivot_tol(a) -> float:
-    """Near-zero pivot threshold, scaled by the largest entry magnitude."""
+    """Near-zero pivot threshold, scaled by the largest entry magnitude.
+
+    The one threshold every kernel calls: a pivot j with
+    |pivot j| <= 1e-12 * (1 + max|a_ij|) is rejected (Cholesky compares
+    the quantity under its square root against the square of this).
+    """
     a = np.asarray(a, dtype=np.float64)
     return 1e-12 * (1.0 + float(np.abs(a).max()))
 
@@ -203,7 +208,7 @@ def _to_caller(f, swaps) -> None:
         f[:, [k, j]] = f[:, [j, k]]
 
 
-def eliminate(a, required=None, counter=None, pivot_tol=None, allow_swaps=True) -> np.ndarray:
+def eliminate(a, required=None, counter=None, allow_swaps=True) -> np.ndarray:
     """Run the elimination to completion and return the final F.
 
     With every index required (the default) the result is A^-1.  With a
@@ -214,7 +219,7 @@ def eliminate(a, required=None, counter=None, pivot_tol=None, allow_swaps=True) 
     n = a.shape[0]
     mask = _coerce_required(required, n).mask(n)
     cnt = counter if counter is not None else OpCounter()
-    tol = default_pivot_tol(a) if pivot_tol is None else float(pivot_tol)
+    tol = default_pivot_tol(a)
     f = np.eye(n)
     swaps: list[tuple[int, int]] = []
     s = 0
@@ -224,12 +229,12 @@ def eliminate(a, required=None, counter=None, pivot_tol=None, allow_swaps=True) 
     return f
 
 
-def invert(a, counter=None, pivot_tol=None, allow_swaps=True) -> np.ndarray:
+def invert(a, counter=None, allow_swaps=True) -> np.ndarray:
     """Invert a square matrix; costs exactly n^3 muldiv when no swap occurs."""
-    return eliminate(a, None, counter, pivot_tol, allow_swaps)
+    return eliminate(a, None, counter, allow_swaps)
 
 
-def solve(a, b, required, counter=None, pivot_tol=None, allow_swaps=True) -> dict[int, float]:
+def solve(a, b, required, counter=None, allow_swaps=True) -> dict[int, float]:
     """Solve A x = b for the required solution components only.
 
     Returns {index: value} keyed by the 1-based required indices.  On top
@@ -241,7 +246,7 @@ def solve(a, b, required, counter=None, pivot_tol=None, allow_swaps=True) -> dic
     bv = as_vector(b, n)
     req = _coerce_required(required, n)
     cnt = counter if counter is not None else OpCounter()
-    f = eliminate(a, req, cnt, pivot_tol, allow_swaps)
+    f = eliminate(a, req, cnt, allow_swaps)
     out = {}
     for i in req:
         out[i] = float(f[i - 1] @ bv)
@@ -264,15 +269,13 @@ class EliminationState:
     step: int
     required: RequiredSet
     perm: tuple
-    pivot_tol: float
 
     @classmethod
-    def start(cls, a, required=None, pivot_tol=None) -> "EliminationState":
+    def start(cls, a, required=None) -> "EliminationState":
         a = as_matrix(a)
         n = a.shape[0]
         req = _coerce_required(required, n)
-        tol = default_pivot_tol(a) if pivot_tol is None else float(pivot_tol)
-        return cls(a=a, f=np.eye(n), step=0, required=req, perm=(), pivot_tol=tol)
+        return cls(a=a, f=np.eye(n), step=0, required=req, perm=())
 
     def active_rows(self) -> np.ndarray:
         """Indices of rows still being updated at the current step."""
@@ -291,24 +294,22 @@ def eliminate_step(state: EliminationState, counter=None, allow_swaps=True) -> E
         a[[k, j]] = a[[j, k]]
         f[:, [k, j]] = f[:, [j, k]]
     cnt = counter if counter is not None else OpCounter()
-    _run_step(a, f, state.step, state.active_rows(), state.pivot_tol,
+    _run_step(a, f, state.step, state.active_rows(), default_pivot_tol(state.a),
               cnt, allow_swaps, swaps)
     _to_caller(f, swaps)
     return dataclasses.replace(state, f=f, step=state.step + 1, perm=tuple(swaps))
 
 
-def row_identities_check(a, f_final, required=None, tolerance=None) -> bool:
+def row_identities_check(a, f_final, required=None) -> bool:
     """Check F[i] @ A[:, j] == delta_ij for every required row i, all j.
 
-    The tolerance defaults to 1e-10 * (1 + frobenius_norm(a)).
+    Each identity must hold within 1e-10 * (1 + frobenius_norm(a)).
     """
     a = as_matrix(a)
     f = as_matrix(f_final)
     if f.shape != a.shape:
         raise DimensionMismatch(f"operand shapes differ: {a.shape} vs {f.shape}")
     n = a.shape[0]
-    req = _coerce_required(required, n)
-    mask = req.mask(n)
-    tol = 1e-10 * (1.0 + frobenius_norm(a)) if tolerance is None else float(tolerance)
+    mask = _coerce_required(required, n).mask(n)
     dev = f[mask] @ a - np.eye(n)[mask]
-    return bool(np.abs(dev).max() <= tol)
+    return bool(np.abs(dev).max() <= 1e-10 * (1.0 + frobenius_norm(a)))

@@ -55,7 +55,7 @@ from .matcore import (
 )
 
 
-def lower_stage(a, counter=None, pivot_tol=None) -> np.ndarray:
+def lower_stage(a, counter=None) -> np.ndarray:
     """Stage one of variant 1: elimination with only the last row required.
 
     Returns an exactly lower-triangular F whose row i is the last row of
@@ -65,8 +65,7 @@ def lower_stage(a, counter=None, pivot_tol=None) -> np.ndarray:
     """
     a = _checked_symmetric(a)
     n = a.shape[0]
-    return modgauss.eliminate(a, RequiredSet.trailing(n, 1), counter,
-                              pivot_tol, allow_swaps=False)
+    return modgauss.eliminate(a, RequiredSet.trailing(n, 1), counter, allow_swaps=False)
 
 
 def complete_lower(f, counter=None) -> np.ndarray:
@@ -88,29 +87,29 @@ def complete_lower(f, counter=None) -> np.ndarray:
     return _lower_gram(u, f)
 
 
-def invert_v1_parts(a, counter=None, pivot_tol=None):
+def invert_v1_parts(a, counter=None):
     """Variant 1 with its intermediates: (stage-one F, completed F, inverse).
 
     The completed F is exactly lower triangular; the inverse equals
     F + (F - diag(F))^T.
     """
     cnt = counter if counter is not None else OpCounter()
-    stage1 = lower_stage(a, cnt, pivot_tol)
+    stage1 = lower_stage(a, cnt)
     final = complete_lower(stage1, cnt)
     return stage1, final, mirror_lower(final)
 
 
-def invert_v1(a, counter=None, pivot_tol=None) -> np.ndarray:
+def invert_v1(a, counter=None) -> np.ndarray:
     """Two-stage square-root-free symmetric inversion.
 
     Costs n^3/2 + n^2 - n/2 multiplications and divisions, no square
     roots.  Raises ZeroPivot when a leading principal minor is
     numerically zero (no row swaps are attempted).
     """
-    return invert_v1_parts(a, counter, pivot_tol)[2]
+    return invert_v1_parts(a, counter)[2]
 
 
-def invert_v2(a, counter=None, pivot_tol=None) -> np.ndarray:
+def invert_v2(a, counter=None) -> np.ndarray:
     """Single-sweep square-root-free symmetric inversion.
 
     Evaluates the sweep's result through its factors: A = L D L^T, then
@@ -127,9 +126,8 @@ def invert_v2(a, counter=None, pivot_tol=None) -> np.ndarray:
     """
     a = _checked_symmetric(a)
     cnt = counter if counter is not None else OpCounter()
-    tol = modgauss.default_pivot_tol(a) if pivot_tol is None else float(pivot_tol)
     n = a.shape[0]
-    l_strict, d = _ldl_nopiv_blocked(a, tol)
+    l_strict, d = _ldl_nopiv_blocked(a)
     m = _unit_lower_inverse(l_strict)
     # Sweep step k: pivot-row products, the reciprocal, the row scaling,
     # the column of coefficients, and the two rank-one updates.
@@ -138,7 +136,7 @@ def invert_v2(a, counter=None, pivot_tol=None) -> np.ndarray:
     return mirror_lower(_lower_gram(m, m / d[:, None]))
 
 
-def invert_v2_reference(a, counter=None, pivot_tol=None) -> np.ndarray:
+def invert_v2_reference(a, counter=None) -> np.ndarray:
     """Step-by-step single sweep, column by column.
 
     Runs the sweep one pivot at a time, writing the normalized pivot
@@ -149,7 +147,7 @@ def invert_v2_reference(a, counter=None, pivot_tol=None) -> np.ndarray:
     """
     a = _checked_symmetric(a)
     cnt = counter if counter is not None else OpCounter()
-    tol = modgauss.default_pivot_tol(a) if pivot_tol is None else float(pivot_tol)
+    tol = modgauss.default_pivot_tol(a)
     n = a.shape[0]
     f = np.eye(n)
     for k in range(n):
@@ -174,7 +172,7 @@ def invert_v2_reference(a, counter=None, pivot_tol=None) -> np.ndarray:
     return mirror_lower(f)
 
 
-def lemma1_check(a, m, tolerance=None) -> bool:
+def lemma1_check(a, m) -> bool:
     """Leading-block inverse property of the elimination.
 
     Runs m+1 full-required steps (no swaps) and checks that the leading
@@ -192,7 +190,7 @@ def lemma1_check(a, m, tolerance=None) -> bool:
     size = m + 1
     block = state.f[:size, :size]
     sub = a[:size, :size]
-    tol = 1e-9 * (1.0 + frobenius_norm(sub)) if tolerance is None else float(tolerance)
+    tol = 1e-9 * (1.0 + frobenius_norm(sub))
     if frobenius_norm(block @ sub - np.eye(size)) > tol:
         return False
     if SymmetryCheck().passes(a) and frobenius_norm(block - block.T) > tol:
@@ -200,12 +198,12 @@ def lemma1_check(a, m, tolerance=None) -> bool:
     return True
 
 
-def lemma2_check(a, m, tolerance=1e-10) -> bool:
+def lemma2_check(a, m) -> bool:
     """Rank-one structure of one elimination step.
 
     Checks that F^{m+1} minus (F^m with row m zeroed) equals
     outer(column m of F^{m+1}, row m of F^m), entrywise within
-    tolerance * (1 + |expected entry|).
+    1e-10 * (1 + |expected entry|).
     """
     a = as_matrix(a)
     n = a.shape[0]
@@ -220,10 +218,10 @@ def lemma2_check(a, m, tolerance=1e-10) -> bool:
     delta = after.f - zeroed
     expected = np.outer(after.f[:, m], state.f[m, :])
     dev = np.abs(delta - expected)
-    return bool((dev <= tolerance * (1.0 + np.abs(expected))).all())
+    return bool((dev <= 1e-10 * (1.0 + np.abs(expected))).all())
 
 
-def invert_symmetric_robust(a, counter=None, pivot_tol=None) -> np.ndarray:
+def invert_symmetric_robust(a, counter=None) -> np.ndarray:
     """Symmetric inversion that survives zero leading minors.
 
     Tries the single-sweep variant first; if a leading minor is
@@ -231,19 +229,18 @@ def invert_symmetric_robust(a, counter=None, pivot_tol=None) -> np.ndarray:
     since its swaps keep the row profile) and symmetrizes its result as
     (R + R^T) / 2, which costs n^2 extra multiplications: n^3 + n^2 in
     all.  Only the operations of the path that produced the result are
-    added to the counter.
+    added to the counter.  The fallback runs only after invert_v2 has
+    checked the input's symmetry.
     """
-    a = _checked_symmetric(a)
     cnt = counter if counter is not None else OpCounter()
     attempt = OpCounter()
     try:
-        inv = invert_v2(a, attempt, pivot_tol)
+        inv = invert_v2(a, attempt)
     except ZeroPivot:
         pass
     else:
         cnt.merge(attempt)
         return inv
-    raw = modgauss.invert(a, cnt, pivot_tol, allow_swaps=True)
-    inv = (raw + raw.T) * 0.5
-    cnt.add_muldiv(a.shape[0] ** 2)
-    return inv
+    raw = modgauss.invert(a, cnt, allow_swaps=True)
+    cnt.add_muldiv(raw.shape[0] ** 2)
+    return (raw + raw.T) * 0.5

@@ -13,8 +13,12 @@ from syminv import (
     invert_cholesky,
     invert_km,
     invert_ldl,
+    invert_symmetric_robust,
+    invert_v1,
     invert_v2,
+    invert_v2_reference,
     ldl_factor,
+    lower_stage,
     q_theor,
     s_theor,
 )
@@ -170,10 +174,19 @@ class TestBlockedKernels:
     @pytest.mark.parametrize("j", [0, 63, 64, 65, 130])
     def test_zero_pivot_step(self, j):
         a = _vanishing_minor(_spd(np.random.default_rng(700 + j), 200), j)
-        for func in (ldl_factor, invert_v2, invert_ldl):
+        for func in (ldl_factor, invert_v2, invert_ldl, invert_v1, lower_stage,
+                     invert_v2_reference):
             with pytest.raises(ZeroPivot) as err:
                 func(a)
             assert err.value.step == j
+        # robust falls back to the swapping elimination at that step
+        n = a.shape[0]
+        c = OpCounter()
+        x = invert_symmetric_robust(a, c)
+        assert c.muldiv == n ** 3 + n ** 2
+        np.testing.assert_array_equal(x, x.T)
+        bound = 1e-10 * (1.0 + np.linalg.norm(a) * np.linalg.norm(x))
+        assert np.linalg.norm(a @ x - np.eye(n)) <= bound
 
     @pytest.mark.parametrize("n", [1, 63, 64, 65, 200])
     def test_factor_matches_column_oracle(self, n):
