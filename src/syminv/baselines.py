@@ -23,12 +23,13 @@ The LDL^T factor and the solve phases of the LDL and Krishnamoorthy-
 Menon inversions are evaluated by 64-column blocks, each a matrix
 product (the kernels below are shared with ``symmetric``); their counts
 are still the per-row models above, each phase added as one sum.  The
-Cholesky factor and the Cholesky inversion's solves run row by row.
+Cholesky factor runs on the same LDL^T kernel, with Cholesky's pivot
+test, and scales its columns by sqrt(d).  Only the Cholesky inversion's
+two solves run row by row.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,23 +60,26 @@ def cholesky_factor(a, counter=None) -> CholFactor:
     Column j costs j multiplications for the diagonal, one square root,
     and (n-1-j)(j+1) multiplications and divisions below it.  Raises
     NotPositiveDefinite when the quantity under the square root is not
-    safely positive.
+    safely positive.  Evaluated on the LDL^T kernel, whose pivot d_j is
+    that quantity: L = L~ diag(sqrt(d)), n square roots.
     """
     a = _checked_symmetric(a)
     n = a.shape[0]
     cnt = counter if counter is not None else OpCounter()
-    tol = default_pivot_tol(a)
-    l = np.zeros((n, n))
-    for j in range(n):
-        under = float(a[j, j]) - float(l[j, :j] @ l[j, :j])
-        cnt.add_muldiv(j)
-        if under <= tol * tol:
-            raise NotPositiveDefinite(j)
-        ljj = math.sqrt(under)
-        cnt.add_sqrt(1)
-        l[j, j] = ljj
-        l[j + 1:, j] = (a[j + 1:, j] - l[j + 1:, :j] @ l[j, :j]) / ljj
-        cnt.add_muldiv((n - 1 - j) * (j + 1))
+    try:
+        l, d, _ = _ldl_nopiv_blocked(a, cholesky=True)
+    except NotPositiveDefinite as exc:
+        # The column model up to the rejected pivot: columns 0..j-1 in
+        # full and the j diagonal products of column j.
+        j = exc.step
+        cnt.add_muldiv(sum(i + (n - 1 - i) * (i + 1) for i in range(j)) + j)
+        cnt.add_sqrt(j)
+        raise
+    root = np.sqrt(d)
+    l *= root
+    l[np.diag_indices(n)] = root
+    cnt.add_muldiv(sum(j + (n - 1 - j) * (j + 1) for j in range(n)))
+    cnt.add_sqrt(n)
     return CholFactor(l=l)
 
 
@@ -102,22 +106,31 @@ def invert_cholesky(a, counter=None) -> np.ndarray:
     return mirror_lower(x)
 
 
-def _unit_lower_inverse(l):
+def _unit_lower_inverse(l, blocks=()):
     """Inverse of the unit lower-triangular matrix with l's strict lower triangle.
 
     Only the strict lower triangle of *l* is read.  Row loop on each
-    64x64 diagonal block, one product per block for the rows to its left.
+    64x64 diagonal block, one product per block for the rows to its
+    left, where the inverse so far is zero above its diagonal blocks.
+    *blocks* holds the inverses of leading diagonal blocks that the
+    LDL^T kernel already formed; they are the row loop's result.
     """
     n = l.shape[0]
     m = np.zeros((n, n))
-    for s in range(0, n, _BLOCK):
+    for b, s in enumerate(range(0, n, _BLOCK)):
         e = min(s + _BLOCK, n)
-        blk = np.eye(e - s)
-        for i in range(1, e - s):
-            blk[i, :i] = -(l[s + i, s:s + i] @ blk[:i, :i])
+        if b < len(blocks):
+            blk = blocks[b]
+        else:
+            blk = np.eye(e - s)
+            for i in range(1, e - s):
+                blk[i, :i] = -(l[s + i, s:s + i] @ blk[:i, :i])
         m[s:e, s:e] = blk
         if s:
-            m[s:e, :s] = -blk @ (l[s:e, :s] @ m[:s, :s])
+            t = np.empty((e - s, s))
+            for c in range(0, s, _BLOCK):
+                t[:, c:c + _BLOCK] = l[s:e, c:s] @ m[c:s, c:c + _BLOCK]
+            m[s:e, :s] = -blk @ t
     return m
 
 
@@ -137,7 +150,7 @@ def _lower_gram(x, y):
     return out
 
 
-def _ldl_nopiv_blocked(a):
+def _ldl_nopiv_blocked(a, cholesky=False):
     """Unit-lower/diagonal factorization, no pivoting, no square roots.
 
     Right-looking by 64-column panels; overwrites *a*, the caller's
@@ -146,29 +159,38 @@ def _ldl_nopiv_blocked(a):
     unit-lower inverse) and L21 = W / d, and the trailing matrix takes
     L21 W^T in its lower part only, one 64-column block at a time.
     Raises ZeroPivot(j) when pivot j, the ratio of the leading (j+1)-
-    and j-minors, is within ``default_pivot_tol(a)`` of zero.  Returns
-    (strictly lower factor, diagonal vector).
+    and j-minors, is within ``default_pivot_tol(a)`` of zero; with
+    *cholesky*, NotPositiveDefinite(j) when it is at most the square of
+    that tolerance instead.  Returns (strictly lower factor, diagonal
+    vector, the M11 of every panel but the last).
     """
     n = a.shape[0]
     tol = default_pivot_tol(a)
+    if cholesky:
+        lo, hi, reject = -np.inf, tol * tol, NotPositiveDefinite
+    else:
+        lo, hi, reject = -tol, tol, ZeroPivot
     d = np.empty(n)
+    blocks = []
     for s in range(0, n, _BLOCK):
         e = min(s + _BLOCK, n)
         for j in range(s, e):
             dj = float(a[j, j])
-            if abs(dj) <= tol:
-                raise ZeroPivot(j)
+            if lo <= dj <= hi:
+                raise reject(j)
             d[j] = dj
-            w = a[j + 1:e, j].copy()
-            a[j + 1:e, j] /= dj
-            a[j + 1:e, j + 1:e] -= np.outer(a[j + 1:e, j], w)
+            col = a[j + 1:e, j]
+            lj = col / dj
+            a[j + 1:e, j + 1:e] -= lj[:, None] * col
+            col[:] = lj
         if e < n:
-            w21 = a[e:, s:e] @ _unit_lower_inverse(a[s:e, s:e]).T
+            blocks.append(_unit_lower_inverse(a[s:e, s:e]))
+            w21 = a[e:, s:e] @ blocks[-1].T
             l21 = w21 / d[s:e]
             a[e:, s:e] = l21
             for c in range(0, n - e, _BLOCK):
                 a[e + c:, e + c:e + c + _BLOCK] -= l21[c:] @ w21[c:c + _BLOCK].T
-    return np.tril(a, -1), d
+    return np.tril(a, -1), d, blocks
 
 
 def ldl_factor(a, counter=None) -> LdlFactor:
@@ -183,7 +205,7 @@ def ldl_factor(a, counter=None) -> LdlFactor:
     a = _checked_symmetric(a)
     n = a.shape[0]
     cnt = counter if counter is not None else OpCounter()
-    l, d = _ldl_nopiv_blocked(a)
+    l, d, _ = _ldl_nopiv_blocked(a)
     l[np.diag_indices(n)] = 1.0
     cnt.add_muldiv(sum(2 * j + (n - 1 - j) * (2 * j + 1) for j in range(n)))
     return LdlFactor(l=l, d=d)

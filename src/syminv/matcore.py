@@ -4,6 +4,8 @@ Matrices are plain square ``numpy.ndarray`` objects of dtype float64.
 ``as_matrix`` is the single entry point that enforces the shared
 invariants (square, at least 1x1, all entries finite) and returns a fresh
 buffer, so no routine in this package ever mutates caller-owned data.
+Routines that only read their input check it with ``_validated``, the
+same checks without the copy.
 """
 
 from __future__ import annotations
@@ -27,7 +29,12 @@ def as_matrix(data) -> np.ndarray:
     Raises DimensionMismatch for anything that is not a square 2-d array
     and InvalidArgument when entries are NaN or infinite.
     """
-    a = np.array(data, dtype=np.float64, copy=True)
+    return _validated(np.array(data, dtype=np.float64, copy=True))
+
+
+def _validated(data) -> np.ndarray:
+    """``as_matrix`` without the copy, for routines that only read *data*."""
+    a = np.asarray(data, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] == 0:
         raise DimensionMismatch(f"expected a square matrix, got shape {a.shape}")
     if not np.isfinite(a).all():
@@ -219,9 +226,25 @@ def norm2_estimate(m) -> float:
 
 
 def mirror_lower(f) -> np.ndarray:
-    """Symmetric matrix built from the lower triangle of *f* (diagonal kept)."""
-    low = np.tril(f)
-    return low + np.tril(f, -1).T
+    """Symmetric matrix built from the lower triangle of *f* (diagonal kept).
+
+    Bitwise ``np.tril(f) + np.tril(f, -1).T``: every entry is its lower
+    value plus 0.0, so a -0.0 comes out as 0.0.  Evaluated by 128-column
+    blocks: each diagonal block by that formula, each block left of it
+    plus 0.0 in one pass and copied up transposed, which keeps the
+    transposed reads in cache.
+    """
+    f = np.asarray(f, dtype=np.float64)
+    n = f.shape[0]
+    out = np.empty((n, n))
+    for c in range(0, n, 128):
+        e = min(c + 128, n)
+        blk = f[c:e, c:e]
+        out[c:e, c:e] = np.tril(blk) + np.tril(blk, -1).T
+        if c:
+            np.add(f[c:e, :c], 0.0, out=out[c:e, :c])
+            out[:c, c:e] = out[c:e, :c].T
+    return out
 
 
 def inverse_residual(a, inv) -> float:

@@ -18,8 +18,13 @@ row profile, and the panel rows become C F_s[s:e] in one product.
 Every other active row then takes all of the panel's steps at once:
 F[i] -= D[i] @ P^-1 F_s[s:e].  This holds because P^-1 F_s[s:e] is the
 only combination of the panel rows that satisfies their row identities
-for columns s..e-1, so it is what the panel rows become.  A panel row
-frozen inside the panel keeps its value from right after its own step.
+for columns s..e-1, so it is what the panel rows become.  No solve
+forms it: by Lemma 1 (``symmetric.lemma1_check``) C is P^-1 once every
+panel row has taken every step, so P^-1 F_s[s:e] is the panel rows
+C F_s[s:e] themselves, after one refinement step against P (C comes
+from steps without pivoting).  A panel row frozen inside the panel
+keeps its value from right after its own step; the other rows then
+take P^-1 F_s[s:e] from a solve.
 A pivot at or below the tolerance ends the panel: the other rows first
 take the steps already done, then the step searches all active rows
 for a swap.  A run of at most 64 steps is one panel with no other rows
@@ -58,7 +63,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidArgument, SingularMatrix, ZeroPivot
-from .matcore import _BLOCK, OpCounter, RequiredSet, as_matrix, as_vector, frobenius_norm
+from .matcore import (
+    _BLOCK,
+    OpCounter,
+    RequiredSet,
+    _validated,
+    as_matrix,
+    as_vector,
+    frobenius_norm,
+)
 
 
 def default_pivot_tol(a) -> float:
@@ -132,22 +145,21 @@ def _run_step(a, f, k, rows, pivot_tol, counter, allow_swaps, swaps) -> None:
         d[kpos], d[jrel] = float(d[jrel]), g
         swaps.append((k, j))
         g = float(d[kpos])
-    counter.add_muldiv(m * k)
+    # The d products, the reciprocal, the pivot-row scaling and the
+    # rank-one update of the other rows.
+    counter.add_muldiv(m * k + 1 + k + (m - 1) * (k + 1))
 
     r = 1.0 / g
-    counter.add_muldiv(1)
     f[k, :k] *= r
     f[k, k] = r  # the identity entry becomes the reciprocal: no multiply
-    counter.add_muldiv(k)
 
     pivot_row = f[k, :k + 1]
     if block:
-        f[lo:k, :k + 1] -= np.outer(d[:kpos], pivot_row)
-        f[k + 1:lo + m, :k + 1] -= np.outer(d[kpos + 1:], pivot_row)
+        f[lo:k, :k + 1] -= d[:kpos, None] * pivot_row
+        f[k + 1:lo + m, :k + 1] -= d[kpos + 1:, None] * pivot_row
     else:
         others = np.delete(rows, kpos)
-        f[others, :k + 1] -= np.outer(np.delete(d, kpos), pivot_row)
-    counter.add_muldiv((m - 1) * (k + 1))
+        f[others, :k + 1] -= np.delete(d, kpos)[:, None] * pivot_row
 
 
 def _run_panel(a, f, s, mask, pivot_tol, counter, allow_swaps, swaps) -> int:
@@ -188,11 +200,21 @@ def _run_panel(a, f, s, mask, pivot_tol, counter, allow_swaps, swaps) -> int:
     counter.add_muldiv(2 * s * stepped)
     f[s:e, :e] = c @ f_s
 
-    # Every other active row takes the panel's steps s..stop-1 at once.
+    # Every other active row takes the panel's steps s..stop-1 at once,
+    # by W = P[:j, :j]^-1 F_s[s:stop].  When no panel row froze, the
+    # rows s..stop-1 just formed are W (Lemma 1: C[:j, :j] inverts
+    # P[:j, :j], and C[:j, j:] is zero).  C comes from steps without
+    # pivoting, so W takes one refinement step against P before every
+    # other row inherits its error; a panel row that froze keeps the
+    # solve.
     outside = above.size + n - e
     j = stop - s
     if j and outside:
-        w = np.linalg.solve(d_low[:j, :j], f_s[:j, :stop])  # P^-1 F_s[s:stop]
+        if mask[s:stop].all():
+            w = f[s:stop, :stop]
+            w += c[:j, :j] @ (f_s[:j, :stop] - d_low[:j, :j] @ w)
+        else:
+            w = np.linalg.solve(d_low[:j, :j], f_s[:j, :stop])
         f[up, :stop] -= d_up[:, :j] @ w
         f[e:, :stop] -= d_low[e - s:, :j] @ w
         counter.add_muldiv(outside * (stop * stop - s * s))
@@ -215,7 +237,9 @@ def eliminate(a, required=None, counter=None, allow_swaps=True) -> np.ndarray:
     partial required set only the required rows of the result are rows of
     A^-1; the other rows were frozen early to save operations.
     """
-    a = as_matrix(a)  # the working copy whose rows the swaps exchange
+    a = _validated(a)
+    if allow_swaps:
+        a = a.copy()  # the working copy whose rows the swaps exchange
     n = a.shape[0]
     mask = _coerce_required(required, n).mask(n)
     cnt = counter if counter is not None else OpCounter()
@@ -241,7 +265,7 @@ def solve(a, b, required, counter=None, allow_swaps=True) -> dict[int, float]:
     of the elimination cost, each returned component pays one length-n
     dot product (n multiplications).
     """
-    a = as_matrix(a)
+    a = _validated(a)  # eliminate makes the one copy it needs
     n = a.shape[0]
     bv = as_vector(b, n)
     req = _coerce_required(required, n)

@@ -49,6 +49,7 @@ from .matcore import (
     RequiredSet,
     SymmetryCheck,
     _checked_symmetric,
+    _validated,
     as_matrix,
     frobenius_norm,
     mirror_lower,
@@ -79,7 +80,7 @@ def complete_lower(f, counter=None) -> np.ndarray:
     triangle is that of the full inverse.  Tallies the per-step model (k divisions
     and k(k+1)/2 products at step k): n^3/6 + n^2/2 - 2n/3.
     """
-    f = as_matrix(f)
+    f = _validated(f)
     n = f.shape[0]
     cnt = counter if counter is not None else OpCounter()
     u = f / np.diag(f)[:, None]
@@ -127,8 +128,8 @@ def invert_v2(a, counter=None) -> np.ndarray:
     a = _checked_symmetric(a)
     cnt = counter if counter is not None else OpCounter()
     n = a.shape[0]
-    l_strict, d = _ldl_nopiv_blocked(a)
-    m = _unit_lower_inverse(l_strict)
+    l_strict, d, blocks = _ldl_nopiv_blocked(a)
+    m = _unit_lower_inverse(l_strict, blocks)
     # Sweep step k: pivot-row products, the reciprocal, the row scaling,
     # the column of coefficients, and the two rank-one updates.
     cnt.add_muldiv(sum((n - k) * k + 1 + k + (n - k - 1)

@@ -22,7 +22,7 @@ from syminv import (
     q_theor,
     s_theor,
 )
-from syminv.baselines import _lower_gram
+from syminv.baselines import _ldl_nopiv_blocked, _lower_gram, _unit_lower_inverse
 
 
 def _spd(rng, n):
@@ -221,3 +221,69 @@ class TestBlockedKernels:
             assert np.linalg.norm(a @ x - np.eye(n)) <= bound, name
             assert c.muldiv == q_theor(name, n), name
             assert c.sqrt == s_theor(name, n), name
+
+
+def _with_pivot(a, j, value):
+    """a with row and column j zeroed off the diagonal and a_jj = value: pivot j is value."""
+    a = _vanishing_minor(a, j)
+    a[j, j] = value
+    a[j, j + 1:] = 0.0
+    a[j + 1:, j] = 0.0
+    return a
+
+
+class TestCholeskyOnLdlKernel:
+    """cholesky_factor runs on the LDL^T kernel with Cholesky's acceptance test."""
+
+    @pytest.mark.parametrize("j", [0, 63, 64, 65, 130])
+    def test_not_positive_definite_step(self, j):
+        rng = np.random.default_rng(740 + j)
+        for a in (_vanishing_minor(_spd(rng, 200), j), _with_pivot(_spd(rng, 200), j, -0.5)):
+            for func in (cholesky_factor, invert_cholesky, invert_km):
+                with pytest.raises(NotPositiveDefinite) as err:
+                    func(a)
+                assert err.value.step == j
+
+    @pytest.mark.parametrize("scale", [1e-13, 1e-20])
+    def test_tiny_scaled_identity_accepted(self, scale):
+        n = 70
+        fac = cholesky_factor(scale * np.eye(n))
+        np.testing.assert_array_equal(fac.l, np.sqrt(scale) * np.eye(n))
+        x = invert_cholesky(scale * np.eye(n))
+        np.testing.assert_allclose(x, np.eye(n) / scale, rtol=1e-15, atol=0)
+
+    @pytest.mark.parametrize("j", [0, 64, 130])
+    def test_pivot_between_tol_squared_and_tol(self, j):
+        # tol = 1e-12 (1 + max|a|) and tol^2 < 1e-15 <= tol: Cholesky
+        # accepts the pivot, LDL^T rejects it.
+        a = _with_pivot(_spd(np.random.default_rng(750 + j), 200), j, 1e-15)
+        l = cholesky_factor(a).l
+        assert l[j, j] == np.sqrt(1e-15)
+        for func in (ldl_factor, invert_ldl, invert_v2):
+            with pytest.raises(ZeroPivot) as err:
+                func(a)
+            assert err.value.step == j
+
+    @pytest.mark.parametrize("n", [63, 64, 65, 200])
+    def test_reconstructs_and_counts(self, n):
+        a = _spd(np.random.default_rng(760 + n), n)
+        c = OpCounter()
+        l = cholesky_factor(a, c).l
+        assert np.abs(np.triu(l, 1)).max(initial=0.0) == 0.0
+        assert (np.diag(l) > 0.0).all()
+        assert np.linalg.norm(l @ l.T - a) <= 1e-13 * np.linalg.norm(a)
+        assert c.muldiv == sum(j + (n - 1 - j) * (j + 1) for j in range(n))
+        assert c.sqrt == n
+
+
+@pytest.mark.parametrize("n", [1, 63, 64, 65, 200])
+def test_unit_lower_inverse_reuses_kernel_blocks(n):
+    rng = np.random.default_rng(770 + n)
+    for a in (_spd(rng, n), _indefinite(rng, n)):
+        l, _, blocks = _ldl_nopiv_blocked(a.copy())
+        assert len(blocks) == (n - 1) // 64
+        got = _unit_lower_inverse(l, blocks)
+        np.testing.assert_array_equal(got, _unit_lower_inverse(l))
+        want = np.linalg.inv(l + np.eye(n))
+        assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+        assert np.abs(np.triu(got, 1)).max(initial=0.0) == 0.0

@@ -229,3 +229,16 @@ def test_inverse_residual():
     a = np.diag([2.0, 4.0])
     assert inverse_residual(a, np.diag([0.5, 0.25])) == 0.0
     assert inverse_residual(a, np.diag([0.5, 0.5])) == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 127, 128, 129, 300])
+def test_mirror_lower_bitwise_sum_formula(n):
+    rng = np.random.default_rng(43 + n)
+    f = rng.uniform(-1, 1, (n, n))  # nonzero upper part, which is ignored
+    f[rng.random((n, n)) < 0.2] = -0.0
+    f[rng.random((n, n)) < 0.1] = 0.0
+    f[0, 0] = -0.0
+    want = np.tril(f) + np.tril(f, -1).T
+    got = mirror_lower(f)
+    np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+    assert not np.signbit(got[got == 0.0]).any()  # -0.0 + 0.0 is 0.0

@@ -297,6 +297,15 @@ class TestPanelDriver:
             assert err.value.step == k
         np.testing.assert_array_equal(a, before)
 
+    @pytest.mark.parametrize("n, seed", [(130, 2), (200, 3)])
+    def test_non_dominant_residual(self, n, seed):
+        # The rows outside a panel take the refined panel rows; without
+        # the refinement these inputs reach 0.06 and 0.13 of the bound.
+        a = generate(MatrixFamily("non_dominant", n, seed))
+        f = invert(a)
+        bound = 1e-10 * (1.0 + np.linalg.norm(a) * np.linalg.norm(f))
+        assert np.linalg.norm(a @ f - np.eye(n)) <= 1e-2 * bound
+
     def test_singular_in_second_panel(self):
         a = _dominant(np.random.default_rng(101), 100)
         a[:, 80] = a[:, 3] + 0.5 * a[:, 10]  # rank deficient from column 80 on
