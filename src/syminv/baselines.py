@@ -25,12 +25,14 @@ product (the kernels below are shared with ``symmetric``); their counts
 are still the per-row models above, each phase added as one sum.  The
 Cholesky factor runs on the same LDL^T kernel, with Cholesky's pivot
 test, and scales its columns by sqrt(d).  Only the Cholesky inversion's
-two solves run row by row.
+two solves run row by row; each row of its forward solve is a product
+per 128-column block, skipping the zero blocks of the lower-triangular
+result above the row's block.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -41,17 +43,29 @@ from .modgauss import default_pivot_tol
 
 @dataclass(frozen=True)
 class CholFactor:
-    """Lower-triangular factor with positive diagonal: L @ L.T == input."""
+    """Lower-triangular factor with positive diagonal: L @ L.T == input.
+
+    Also keeps what the LDL^T kernel formed on the way, for invert_km:
+    the strict lower part of the unit factor L~ = L diag(L)^-1 and the
+    inverses of its leading 64x64 diagonal blocks.
+    """
 
     l: np.ndarray
+    _unit: np.ndarray | None = field(default=None, repr=False, compare=False)
+    _blocks: tuple = field(default=(), repr=False, compare=False)
 
 
 @dataclass(frozen=True)
 class LdlFactor:
-    """Unit lower-triangular factor and diagonal: L @ diag(d) @ L.T == input."""
+    """Unit lower-triangular factor and diagonal: L @ diag(d) @ L.T == input.
+
+    Also keeps the inverses of L's leading 64x64 diagonal blocks, which
+    the kernel formed, for invert_ldl.
+    """
 
     l: np.ndarray
     d: np.ndarray
+    _blocks: tuple = field(default=(), repr=False, compare=False)
 
 
 def cholesky_factor(a, counter=None) -> CholFactor:
@@ -67,7 +81,7 @@ def cholesky_factor(a, counter=None) -> CholFactor:
     n = a.shape[0]
     cnt = counter if counter is not None else OpCounter()
     try:
-        l, d, _ = _ldl_nopiv_blocked(a, cholesky=True)
+        unit, d, blocks = _ldl_nopiv_blocked(a, cholesky=True)
     except NotPositiveDefinite as exc:
         # The column model up to the rejected pivot: columns 0..j-1 in
         # full and the j diagonal products of column j.
@@ -76,11 +90,11 @@ def cholesky_factor(a, counter=None) -> CholFactor:
         cnt.add_sqrt(j)
         raise
     root = np.sqrt(d)
-    l *= root
+    l = unit * root
     l[np.diag_indices(n)] = root
     cnt.add_muldiv(sum(j + (n - 1 - j) * (j + 1) for j in range(n)))
     cnt.add_sqrt(n)
-    return CholFactor(l=l)
+    return CholFactor(l=l, _unit=unit, _blocks=tuple(blocks))
 
 
 def invert_cholesky(a, counter=None) -> np.ndarray:
@@ -89,15 +103,22 @@ def invert_cholesky(a, counter=None) -> np.ndarray:
     Costs n^3/2 + 3n^2/2 multiplications and divisions plus n square
     roots: factor, then row-wise forward solve of L B = I (row i costs
     (i+1)(i+2)/2), then bottom-up back solve of L^T X = B restricted to
-    the lower triangle (row i costs (i+1)(n-i)).
+    the lower triangle (row i costs (i+1)(n-i)).  Both solves run one row
+    at a time; the forward solve's row i reads, for each 128-column
+    block c < i of B, only the rows c..i-1 of that block, since B is
+    lower triangular and the rows above c are zero there.
     """
     cnt = counter if counter is not None else OpCounter()
     l = cholesky_factor(a, cnt).l
     n = l.shape[0]
     b = np.zeros((n, n))
     for i in range(n):
-        b[i, :i] = -(l[i, :i] @ b[:i, :i]) / l[i, i]
-        b[i, i] = 1.0 / l[i, i]
+        bi = b[i]
+        for c in range(0, i, 128):
+            e = min(c + 128, i)
+            bi[c:e] = l[i, c:i] @ b[c:i, c:e]
+        bi[:i] /= -l[i, i]
+        bi[i] = 1.0 / l[i, i]
         cnt.add_muldiv((i + 1) * (i + 2) // 2)
     x = np.zeros((n, n))
     for i in range(n - 1, -1, -1):
@@ -162,7 +183,8 @@ def _ldl_nopiv_blocked(a, cholesky=False):
     and j-minors, is within ``default_pivot_tol(a)`` of zero; with
     *cholesky*, NotPositiveDefinite(j) when it is at most the square of
     that tolerance instead.  Returns (strictly lower factor, diagonal
-    vector, the M11 of every panel but the last).
+    vector, the M11 of every panel but the last); the factor is *a*
+    itself, its diagonal and upper part zeroed panel by panel.
     """
     n = a.shape[0]
     tol = default_pivot_tol(a)
@@ -190,7 +212,10 @@ def _ldl_nopiv_blocked(a, cholesky=False):
             a[e:, s:e] = l21
             for c in range(0, n - e, _BLOCK):
                 a[e + c:, e + c:e + c + _BLOCK] -= l21[c:] @ w21[c:c + _BLOCK].T
-    return np.tril(a, -1), d, blocks
+        # The panel's rows are final: clear their diagonal and upper part.
+        a[s:e, e:] = 0.0
+        a[s:e, s:e] = np.tril(a[s:e, s:e], -1)
+    return a, d, blocks
 
 
 def ldl_factor(a, counter=None) -> LdlFactor:
@@ -205,10 +230,10 @@ def ldl_factor(a, counter=None) -> LdlFactor:
     a = _checked_symmetric(a)
     n = a.shape[0]
     cnt = counter if counter is not None else OpCounter()
-    l, d, _ = _ldl_nopiv_blocked(a)
+    l, d, blocks = _ldl_nopiv_blocked(a)
     l[np.diag_indices(n)] = 1.0
     cnt.add_muldiv(sum(2 * j + (n - 1 - j) * (2 * j + 1) for j in range(n)))
-    return LdlFactor(l=l, d=d)
+    return LdlFactor(l=l, d=d, _blocks=tuple(blocks))
 
 
 def invert_ldl(a, counter=None) -> np.ndarray:
@@ -218,7 +243,8 @@ def invert_ldl(a, counter=None) -> np.ndarray:
     unit forward solve of L X = I (row i costs i(i-1)/2; unit diagonals
     are never multiplied), diagonal solve (row i costs i+1 divisions),
     and unit back solve of L^T R = D^-1 X (row i costs (n-1-i)(i+1)).
-    The forward solve is X = L^-1; the back solve runs by 64-row blocks
+    The forward solve is X = L^-1, reusing the diagonal-block inverses
+    the factor's kernel formed; the back solve runs by 64-row blocks
     from the bottom, each a product with the block's diagonal block of
     L^-1.
     """
@@ -226,7 +252,7 @@ def invert_ldl(a, counter=None) -> np.ndarray:
     fac = ldl_factor(a, cnt)
     l = fac.l
     n = l.shape[0]
-    x = _unit_lower_inverse(l)
+    x = _unit_lower_inverse(l, fac._blocks)
     cnt.add_muldiv(sum(i * (i - 1) // 2 for i in range(n)))
     y = x / fac.d[:, None]
     cnt.add_muldiv(n * (n + 1) // 2)
@@ -245,14 +271,14 @@ def invert_km(a, counter=None) -> np.ndarray:
     diagonals (row i costs one reciprocal plus i(i+1)/2 dot
     multiplications), then the lower triangle of R^T R (row i costs
     (i+1)(n-1-i)).  Total: n^3/2 + n^2/2 muldiv and n square roots.
-    R is evaluated as diag(1/l_ii) times the unit-lower inverse of L with
-    its columns divided by their diagonal entries.
+    R is evaluated as diag(1/l_ii) times the inverse of the unit factor
+    L diag(L)^-1, which the factor keeps from its kernel together with
+    the kernel's diagonal-block inverses.
     """
     cnt = counter if counter is not None else OpCounter()
-    l = cholesky_factor(a, cnt).l
-    n = l.shape[0]
-    lii = np.diag(l)
-    r = _unit_lower_inverse(l / lii) / lii[:, None]
+    fac = cholesky_factor(a, cnt)
+    n = fac.l.shape[0]
+    r = _unit_lower_inverse(fac._unit, fac._blocks) / np.diag(fac.l)[:, None]
     cnt.add_muldiv(sum(1 + i * (i + 1) // 2 for i in range(n)))
     cnt.add_muldiv(sum((i + 1) * (n - 1 - i) for i in range(n)))
     return mirror_lower(_lower_gram(r, r))

@@ -21,10 +21,11 @@ only combination of the panel rows that satisfies their row identities
 for columns s..e-1, so it is what the panel rows become.  No solve
 forms it: by Lemma 1 (``symmetric.lemma1_check``) C is P^-1 once every
 panel row has taken every step, so P^-1 F_s[s:e] is the panel rows
-C F_s[s:e] themselves, after one refinement step against P (C comes
-from steps without pivoting).  A panel row frozen inside the panel
-keeps its value from right after its own step; the other rows then
-take P^-1 F_s[s:e] from a solve.
+C F_s[s:e] themselves.  A panel row frozen inside the panel keeps its
+value from right after its own step; the other rows then take
+P^-1 F_s[s:e] from P^-1, formed once.  Either way it takes one
+refinement step against P (C comes from steps without pivoting, and
+P^-1 is rounded too) before the other rows inherit its error.
 A pivot at or below the tolerance ends the panel: the other rows first
 take the steps already done, then the step searches all active rows
 for a swap.  A run of at most 64 steps is one panel with no other rows
@@ -80,9 +81,11 @@ def default_pivot_tol(a) -> float:
     The one threshold every kernel calls: a pivot j with
     |pivot j| <= 1e-12 * (1 + max|a_ij|) is rejected (Cholesky compares
     the quantity under its square root against the square of this).
+    max|a_ij| is taken as max(max a, -min a), two reductions with no n^2
+    temporary.
     """
     a = np.asarray(a, dtype=np.float64)
-    return 1e-12 * (1.0 + float(np.abs(a).max()))
+    return 1e-12 * (1.0 + max(float(a.max()), -float(a.min())))
 
 
 def _coerce_required(required, n: int) -> RequiredSet:
@@ -118,9 +121,14 @@ def _run_step(a, f, k, rows, pivot_tol, counter, allow_swaps, swaps) -> None:
     m = int(rows.size)
     lo = int(rows[0])
     block = int(rows[-1]) - lo + 1 == m  # the rows form one contiguous block
-    kpos = int(np.searchsorted(rows, k))
+    if block:
+        idx = slice(lo, lo + m)
+        kpos = k - lo
+    else:
+        idx = rows
+        kpos = int(np.searchsorted(rows, k))
 
-    window = f[lo:lo + m] if block else f[rows]
+    window = f[idx]
     d = window[:, :k] @ acol[:k]
     # Unpivoted rows still hold their identity entry at (i, i), which
     # contributes 1 * A[i, k]: an uncounted addition, not a multiply.
@@ -153,13 +161,11 @@ def _run_step(a, f, k, rows, pivot_tol, counter, allow_swaps, swaps) -> None:
     f[k, :k] *= r
     f[k, k] = r  # the identity entry becomes the reciprocal: no multiply
 
-    pivot_row = f[k, :k + 1]
-    if block:
-        f[lo:k, :k + 1] -= d[:kpos, None] * pivot_row
-        f[k + 1:lo + m, :k + 1] -= d[kpos + 1:, None] * pivot_row
-    else:
-        others = np.delete(rows, kpos)
-        f[others, :k + 1] -= np.delete(d, kpos)[:, None] * pivot_row
+    # One rank-one update of all the rows, row k included, which then
+    # gets its scaled values back.
+    pivot_row = f[k, :k + 1].copy()
+    f[idx, :k + 1] -= d[:, None] * pivot_row
+    f[k, :k + 1] = pivot_row
 
 
 def _run_panel(a, f, s, mask, pivot_tol, counter, allow_swaps, swaps) -> int:
@@ -183,11 +189,10 @@ def _run_panel(a, f, s, mask, pivot_tol, counter, allow_swaps, swaps) -> int:
     # with multipliers C P, P = D[s:e]: the steps run 64 wide on C and P,
     # and each is tallied 2 m s short of the same step on m rows of F.
     c = np.eye(e - s)
-    live = np.ones(e - s, dtype=bool)
+    rows = np.arange(e - s)  # the live rows
     stop = e
     stepped = 0  # sum of m over the panel's steps
     for k in range(s, e):
-        rows = np.flatnonzero(live)
         try:
             _run_step(d_low[:e - s], c, k - s, rows, pivot_tol, counter, False, swaps)
         except ZeroPivot:
@@ -196,25 +201,30 @@ def _run_panel(a, f, s, mask, pivot_tol, counter, allow_swaps, swaps) -> int:
             stop = k
             break
         stepped += rows.size
-        live[k - s] = mask[k]
+        if not mask[k]:  # row k freezes
+            rows = rows[rows != k - s]
     counter.add_muldiv(2 * s * stepped)
     f[s:e, :e] = c @ f_s
 
     # Every other active row takes the panel's steps s..stop-1 at once,
     # by W = P[:j, :j]^-1 F_s[s:stop].  When no panel row froze, the
     # rows s..stop-1 just formed are W (Lemma 1: C[:j, :j] inverts
-    # P[:j, :j], and C[:j, j:] is zero).  C comes from steps without
-    # pivoting, so W takes one refinement step against P before every
-    # other row inherits its error; a panel row that froze keeps the
-    # solve.
+    # P[:j, :j], and C[:j, j:] is zero); otherwise W is formed from
+    # P[:j, :j]^-1 and a frozen row keeps its own value.  C comes from
+    # steps without pivoting and P^-1 is rounded, so W takes one
+    # refinement step against P before every other row inherits its
+    # error.
     outside = above.size + n - e
     j = stop - s
     if j and outside:
+        p = d_low[:j, :j]
         if mask[s:stop].all():
+            pinv = c[:j, :j]
             w = f[s:stop, :stop]
-            w += c[:j, :j] @ (f_s[:j, :stop] - d_low[:j, :j] @ w)
         else:
-            w = np.linalg.solve(d_low[:j, :j], f_s[:j, :stop])
+            pinv = np.linalg.inv(p)
+            w = pinv @ f_s[:j, :stop]
+        w += pinv @ (f_s[:j, :stop] - p @ w)
         f[up, :stop] -= d_up[:, :j] @ w
         f[e:, :stop] -= d_low[e - s:, :j] @ w
         counter.add_muldiv(outside * (stop * stop - s * s))

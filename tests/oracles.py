@@ -4,7 +4,8 @@ Everything here is deliberately written with a different algorithm than
 the code under test: determinants by Laplace expansion over column
 subsets, inverses by the cofactor/adjugate formula, matrix products by
 the literal triple loop, the LDL^T factor one column at a time from the
-left, and eigenvalues by cyclic Jacobi rotations.
+left, the Cholesky inverse by its two row-by-row solves over whole
+rows, and eigenvalues by cyclic Jacobi rotations.
 They are exponential or cubic with large constants, so callers keep the
 orders small (n <= 12 for determinants, n <= 8 in bulk).
 """
@@ -87,6 +88,25 @@ def ldl_columns(a):
         d[j] = a[j, j] - (l[j, :j] * l[j, :j]) @ d[:j]
         l[j + 1:, j] = (a[j + 1:, j] - l[j + 1:, :j] @ (l[j, :j] * d[:j])) / d[j]
     return l, d
+
+
+def cholesky_inverse_rows(l):
+    """Lower triangle of (l l^T)^-1 by the row formulas of the two solves.
+
+    Forward solve l b = I one row at a time over the whole leading block
+    (row i is -(l[i, :i] @ b[:i, :i]) / l_ii, zeros included), then the
+    back solve l^T x = b bottom-up, restricted to the lower triangle.
+    """
+    l = np.asarray(l, dtype=float)
+    n = l.shape[0]
+    b = np.zeros((n, n))
+    for i in range(n):
+        b[i, :i] = -(l[i, :i] @ b[:i, :i]) / l[i, i]
+        b[i, i] = 1.0 / l[i, i]
+    x = np.zeros((n, n))
+    for i in range(n - 1, -1, -1):
+        x[i, :i + 1] = (b[i, :i + 1] - l[i + 1:, i] @ x[i + 1:, :i + 1]) / l[i, i]
+    return x
 
 
 def jacobi_eigenvalues(a, sweeps=60, tol=1e-14):

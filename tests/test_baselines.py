@@ -1,9 +1,12 @@
 """Baseline inversions: Cholesky, LDL, and the triangular-product method."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from oracles import inverse_bruteforce, ldl_columns, random_symmetric
+from oracles import cholesky_inverse_rows, inverse_bruteforce, ldl_columns, random_symmetric
+from syminv import baselines
 from syminv import (
     NotPositiveDefinite,
     NotSymmetric,
@@ -287,3 +290,41 @@ def test_unit_lower_inverse_reuses_kernel_blocks(n):
         want = np.linalg.inv(l + np.eye(n))
         assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
         assert np.abs(np.triu(got, 1)).max(initial=0.0) == 0.0
+
+
+@pytest.mark.parametrize("n", [1, 2, 127, 128, 129, 300])
+def test_cholesky_forward_solve_skips_zero_blocks(n):
+    # The forward solve reads only the nonzero blocks of B; its rows equal
+    # the whole-row formula's, and the counts are the per-row models.
+    a = _spd(np.random.default_rng(780 + n), n)
+    c = OpCounter()
+    x = invert_cholesky(a, c)
+    low = cholesky_inverse_rows(cholesky_factor(a).l)
+    want = np.tril(low) + np.tril(low, -1).T
+    assert np.linalg.norm(x - want) <= 1e-13 * np.linalg.norm(want)
+    np.testing.assert_array_equal(x, x.T)
+    assert c.muldiv == q_theor("cholesky", n)
+    assert c.sqrt == s_theor("cholesky", n) == n
+
+
+@pytest.mark.parametrize("n", [1, 63, 65, 130, 200])
+def test_ldl_and_km_reuse_kernel_blocks(n, monkeypatch):
+    # invert_ldl with the kernel's diagonal-block inverses is bitwise the
+    # same as with the row loop forming them again; invert_km agrees with
+    # the unit factor recovered from L by division.
+    rng = np.random.default_rng(800 + n)
+    a, b = _indefinite(rng, n), _spd(rng, n)
+    with_blocks = invert_ldl(a)
+    km = invert_km(b)
+    fac = cholesky_factor(b)
+    assert len(fac._blocks) == len(ldl_factor(a)._blocks) == (n - 1) // 64
+    lii = np.diag(fac.l)
+    r = _unit_lower_inverse(fac.l / lii) / lii[:, None]
+    want = r.T @ r
+    assert np.linalg.norm(km - want) <= 1e-13 * np.linalg.norm(want)
+
+    def without_blocks(x, counter=None, _factor=baselines.ldl_factor):
+        return dataclasses.replace(_factor(x, counter), _blocks=())
+
+    monkeypatch.setattr(baselines, "ldl_factor", without_blocks)
+    np.testing.assert_array_equal(invert_ldl(a), with_blocks)

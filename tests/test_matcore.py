@@ -5,6 +5,7 @@ import pytest
 
 from oracles import matmul_triple, random_symmetric, spectral_norm
 from syminv import (
+    METHOD_FUNCS,
     DimensionMismatch,
     IndexOutOfRange,
     InvalidArgument,
@@ -242,3 +243,26 @@ def test_mirror_lower_bitwise_sum_formula(n):
     got = mirror_lower(f)
     np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
     assert not np.signbit(got[got == 0.0]).any()  # -0.0 + 0.0 is 0.0
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("where", ["above", "diagonal", "last", "1x1"])
+def test_non_finite_rejected_everywhere(bad, where):
+    # A NaN or an infinity in any position is rejected before any
+    # symmetry check (NaN-only-above input is not symmetric either).
+    if where == "1x1":
+        a = np.array([[bad]])
+    else:
+        a = random_symmetric(np.random.default_rng(5), 70)
+        a[np.diag_indices(70)] += 70.0
+        if where == "above":
+            a[np.triu_indices(70, 1)] = bad
+        elif where == "diagonal":
+            a[np.diag_indices(70)] = bad
+        else:
+            a[-1, -1] = bad
+    with pytest.raises(InvalidArgument):
+        as_matrix(a)
+    for func in METHOD_FUNCS.values():
+        with pytest.raises(InvalidArgument):
+            func(a)
