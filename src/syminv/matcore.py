@@ -18,8 +18,8 @@ import numpy as np
 from .errors import DimensionMismatch, IndexOutOfRange, InvalidArgument, NotSymmetric
 
 # Column-block width of the blocked kernels: the LDL^T factor, the
-# unit-lower inverse, the lower-triangle product, the LDL back solve and
-# the elimination's panels.
+# unit-lower inverse, the lower-triangle product and the elimination's
+# panels.
 _BLOCK = 64
 
 
@@ -86,18 +86,17 @@ def _checked_symmetric(a) -> np.ndarray:
 class OpCounter:
     """Tallies multiplications+divisions and square roots for one run.
 
-    Counters are plain mutable tallies; hand a fresh instance to each
-    invocation rather than sharing one across threads.  Additions and
-    subtractions are deliberately not counted anywhere in this package.
+    Counters are plain mutable tallies that start at zero; hand a fresh
+    instance to each invocation rather than sharing one across threads.
+    Additions and subtractions are deliberately not counted anywhere in
+    this package.
     """
 
     __slots__ = ("muldiv", "sqrt")
 
-    def __init__(self, muldiv: int = 0, sqrt: int = 0):
-        if muldiv < 0 or sqrt < 0:
-            raise InvalidArgument("counter values must be nonnegative")
-        self.muldiv = int(muldiv)
-        self.sqrt = int(sqrt)
+    def __init__(self):
+        self.muldiv = 0
+        self.sqrt = 0
 
     def add_muldiv(self, count: int) -> None:
         if count < 0:

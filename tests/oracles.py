@@ -4,8 +4,8 @@ Everything here is deliberately written with a different algorithm than
 the code under test: determinants by Laplace expansion over column
 subsets, inverses by the cofactor/adjugate formula, matrix products by
 the literal triple loop, the LDL^T factor one column at a time from the
-left, the Cholesky inverse by its two row-by-row solves over whole
-rows, and eigenvalues by cyclic Jacobi rotations.
+left, the Cholesky and LDL^T inverses by their row-by-row solves over
+whole rows, and eigenvalues by cyclic Jacobi rotations.
 They are exponential or cubic with large constants, so callers keep the
 orders small (n <= 12 for determinants, n <= 8 in bulk).
 """
@@ -107,6 +107,28 @@ def cholesky_inverse_rows(l):
     for i in range(n - 1, -1, -1):
         x[i, :i + 1] = (b[i, :i + 1] - l[i + 1:, i] @ x[i + 1:, :i + 1]) / l[i, i]
     return x
+
+
+def ldl_inverse_rows(l, d):
+    """Lower triangle of (l diag(d) l^T)^-1 by the row formulas of the three solves.
+
+    Unit forward solve l x = I one row at a time over the whole leading
+    block (row i is -(l[i, :i] @ x[:i, :i]), unit diagonal), diagonal
+    solve y = diag(d)^-1 x, then the unit back solve l^T r = y bottom-up,
+    restricted to the lower triangle.  Only l's strict lower triangle is
+    read.
+    """
+    l = np.asarray(l, dtype=float)
+    d = np.asarray(d, dtype=float)
+    n = l.shape[0]
+    x = np.eye(n)
+    for i in range(n):
+        x[i, :i] = -(l[i, :i] @ x[:i, :i])
+    y = x / d[:, None]
+    r = np.zeros((n, n))
+    for i in range(n - 1, -1, -1):
+        r[i, :i + 1] = y[i, :i + 1] - l[i + 1:, i] @ r[i + 1:, :i + 1]
+    return r
 
 
 def jacobi_eigenvalues(a, sweeps=60, tol=1e-14):

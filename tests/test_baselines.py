@@ -5,14 +5,22 @@ import dataclasses
 import numpy as np
 import pytest
 
-from oracles import cholesky_inverse_rows, inverse_bruteforce, ldl_columns, random_symmetric
+from oracles import (
+    cholesky_inverse_rows,
+    inverse_bruteforce,
+    ldl_columns,
+    ldl_inverse_rows,
+    random_symmetric,
+)
 from syminv import baselines
 from syminv import (
+    MatrixFamily,
     NotPositiveDefinite,
     NotSymmetric,
     OpCounter,
     ZeroPivot,
     cholesky_factor,
+    generate,
     invert_cholesky,
     invert_km,
     invert_ldl,
@@ -305,6 +313,35 @@ def test_cholesky_forward_solve_skips_zero_blocks(n):
     np.testing.assert_array_equal(x, x.T)
     assert c.muldiv == q_theor("cholesky", n)
     assert c.sqrt == s_theor("cholesky", n) == n
+
+
+@pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 130, 200])
+@pytest.mark.parametrize("definite", [True, False])
+def test_ldl_inverse_matches_row_formulas(n, definite):
+    # The unit forward, diagonal and unit back solves, recombined by the
+    # shared kernels, give the row formulas' lower triangle and v2's output;
+    # the counts are still the per-row models.  Indefinite input is the
+    # non-dominant family (a negative 1x1 at n = 1), held to the bench bound.
+    rng = np.random.default_rng(820 + n)
+    if definite:
+        a = _spd(rng, n)
+    elif n == 1:
+        a = -_spd(rng, 1)
+    else:
+        a = generate(MatrixFamily("non_dominant", n, 820 + n))
+    c = OpCounter()
+    x = invert_ldl(a, c)
+    fac = ldl_factor(a)
+    low = ldl_inverse_rows(fac.l, fac.d)
+    want = np.tril(low) + np.tril(low, -1).T
+    if definite:
+        assert np.linalg.norm(x - want) <= 1e-13 * np.linalg.norm(want)
+    bound = 1e-10 * (1.0 + np.linalg.norm(a) * np.linalg.norm(x))
+    assert np.linalg.norm(a @ x - np.eye(n)) <= bound
+    np.testing.assert_array_equal(x, x.T)
+    np.testing.assert_array_equal(x, invert_v2(a))
+    assert c.muldiv == q_theor("ldl", n)
+    assert c.sqrt == s_theor("ldl", n) == 0
 
 
 @pytest.mark.parametrize("n", [1, 63, 65, 130, 200])

@@ -49,6 +49,20 @@ class TestFamilies:
         assert (np.diag(a) > off).all()  # strict dominance, positive diagonal
         assert (np.linalg.eigvalsh(a) > 0).all()
 
+    @pytest.mark.parametrize("n", [2, 63, 65, 129])
+    def test_families_are_their_documented_draws(self, n):
+        # Entries are one uniform draw from the seed, its lower triangle
+        # mirrored; the dominant family's diagonal is its off-diagonal row
+        # sum plus a margin in [1, 2].
+        m = np.random.default_rng(4).uniform(-1.0, 1.0, size=(n, n))
+        low = np.tril(m, -1)
+        a = generate(MatrixFamily("diag_dominant", n, 4))
+        np.testing.assert_array_equal(a - np.diag(np.diag(a)), low + low.T)
+        margin = np.diag(a) - np.abs(low + low.T).sum(axis=1)
+        assert ((margin >= 1.0 - 1e-12 * n) & (margin <= 2.0 + 1e-12 * n)).all()
+        b = generate(MatrixFamily("non_dominant", n, 4))
+        np.testing.assert_array_equal(b, np.tril(m) + low.T)
+
     def test_non_dominant_properties(self):
         a = generate(MatrixFamily("non_dominant", 10, 3))
         np.testing.assert_array_equal(a, a.T)

@@ -7,6 +7,8 @@ from oracles import (
     determinant,
     inverse_bruteforce,
     jacobi_eigenvalues,
+    ldl_columns,
+    ldl_inverse_rows,
     matmul_triple,
     random_symmetric,
     spectral_norm,
@@ -90,3 +92,15 @@ def test_random_symmetric():
     a = random_symmetric(rng, 8, spread=2.0)
     np.testing.assert_array_equal(a, a.T)
     assert np.abs(a).max() <= 2.0
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 8])
+def test_ldl_inverse_rows_matches_adjugate(n):
+    # Indefinite (alternating diagonal signs) but with nonzero leading minors.
+    rng = np.random.default_rng(19 + n)
+    a = random_symmetric(rng, n)
+    a[np.diag_indices(n)] = np.where(np.arange(n) % 2, -1.0, 1.0) * (n + 1)
+    low = ldl_inverse_rows(*ldl_columns(a))
+    assert np.abs(np.triu(low, 1)).max(initial=0.0) == 0.0
+    np.testing.assert_allclose(np.tril(low) + np.tril(low, -1).T, inverse_bruteforce(a),
+                               rtol=0, atol=1e-12)
