@@ -52,7 +52,6 @@ from .matcore import (
     as_vector,
     frobenius_norm,
     inverse_residual,
-    matmul,
     mirror_lower,
     norm2_estimate,
 )
@@ -127,7 +126,6 @@ __all__ = [
     "lemma1_check",
     "lemma2_check",
     "lower_stage",
-    "matmul",
     "mirror_lower",
     "norm2_estimate",
     "q_theor",

@@ -11,7 +11,6 @@ same checks without the copy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -52,27 +51,16 @@ def as_vector(data, n: int) -> np.ndarray:
     return b
 
 
-@dataclass(frozen=True)
 class SymmetryCheck:
-    """Entrywise symmetry predicate: |a_ij - a_ji| <= tolerance * max(1, |a_ij|).
+    """Exact entrywise symmetry predicate: a_ij == a_ji for every i, j.
 
-    The default tolerance of 0 demands exact symmetry, which every matrix
-    produced by the built-in generators and file readers satisfies.
+    Every matrix the built-in generators produce passes it, and so does a
+    CSV round trip of one.
     """
-
-    tolerance: float = 0.0
-
-    def __post_init__(self):
-        if not (self.tolerance >= 0.0):
-            raise InvalidArgument("symmetry tolerance must be nonnegative")
 
     def passes(self, a) -> bool:
         a = np.asarray(a, dtype=np.float64)
-        if self.tolerance == 0.0:  # the same predicate on finite input
-            return bool(np.array_equal(a, a.T))
-        diff = np.abs(a - a.T)
-        ref = np.maximum(1.0, np.abs(a))
-        return bool((diff <= self.tolerance * ref).all())
+        return bool(np.array_equal(a, a.T))
 
 
 def _checked_symmetric(a) -> np.ndarray:
@@ -173,19 +161,6 @@ class RequiredSet:
 
     def __repr__(self):
         return f"RequiredSet({list(self.indices)})"
-
-
-def matmul(a, b, counter: OpCounter | None = None) -> np.ndarray:
-    """Square matrix product with an optional instrumented count of n^3 multiplies."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DimensionMismatch(f"left operand is not square: {a.shape}")
-    if b.shape != a.shape:
-        raise DimensionMismatch(f"operand shapes differ: {a.shape} vs {b.shape}")
-    if counter is not None:
-        counter.add_muldiv(a.shape[0] ** 3)
-    return a @ b
 
 
 def frobenius_norm(m) -> float:

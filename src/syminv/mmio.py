@@ -1,19 +1,23 @@
 """Reading and writing dense matrices as CSV or Matrix Market files.
 
 CSV files carry one matrix row per line, LF-terminated, with no header.
-Each entry is written as Python's ``repr`` of the float: the shortest
-decimal string that reads back as the same float64, so a write followed
-by a read reproduces the matrix bit for bit.  A bitwise symmetric matrix
-has each off-diagonal string formatted once and reused for its mirrored
-cell.  The reader parses in C (``numpy.loadtxt``); it accepts quoted
-cells, blank lines, CRLF line ends and whitespace around cells, but only
-the decimal literals NumPy parses, so Python-only forms such as ``1_0``
-are rejected.
+Each entry is written with the shortest decimal digits that read back as
+the same float64 (the digits of Python's ``repr``), so a write followed
+by a read reproduces the matrix bit for bit.  The writer formats in C
+with ``orjson`` (Ryu) and streams 128 rows at a time, so it never holds
+the whole text.  It spells entries in fixed notation for
+1e-5 <= |v| < 1e16 and otherwise as ``1e-7`` or ``1.5e16``, with no
+``+`` sign and no zero padding in the exponent.  Non-finite entries are
+rejected before any text is written.  The reader parses in C
+(``numpy.loadtxt``); it accepts quoted cells, blank lines, CRLF line
+ends and whitespace around cells, but only the decimal literals NumPy
+parses, so Python-only forms such as ``1_0`` are rejected.
 
 Matrix Market files go through ``scipy.io`` and may use either the
 ``array`` or the ``coordinate`` layout; coordinate files (including
 ``symmetric`` ones) are expanded to dense on read.  SciPy is imported
-only when a Matrix Market file is read or written.
+only when a Matrix Market file is read or written, and orjson only when
+a CSV file is written.
 """
 
 from __future__ import annotations
@@ -23,29 +27,27 @@ import os
 import numpy as np
 
 from .errors import InvalidArgument
-from .matcore import as_matrix
+from .matcore import _validated, as_matrix
+
+# Rows formatted per orjson call: enough to amortise the call, and a fixed
+# number of rows of text in flight rather than the whole matrix's.
+_ROWS = 128
 
 
 def csv_lines(a):
-    """Yield the CSV text of the float64 matrix *a*, one LF-terminated line per row.
+    """Yield the CSV text of the finite square matrix *a*, _ROWS whole rows at a time.
 
-    When *a* is bitwise symmetric, each row formats only its diagonal and
-    right part; the left part reuses the strings made for earlier rows.
+    Each chunk is a str of LF-terminated lines.  orjson prints a C-contiguous
+    block as ``[[r0],[r1],...]``, so stripping the outer brackets and
+    splitting at ``],[`` leaves the rows.
     """
-    bits = a.view(np.int64)
-    if not np.array_equal(bits, bits.T):
-        for row in a:
-            yield ",".join(map(repr, row.tolist())) + "\n"
-        return
-    # unused[j] holds row j's strings right of the diagonal not yet written
-    # as column j of a later row, reversed, so each row pops its cell.
-    unused = []
-    for i in range(a.shape[0]):
-        right = list(map(repr, a[i, i:].tolist()))
-        cells = [strings.pop() for strings in unused]
-        cells.extend(right)
-        yield ",".join(cells) + "\n"
-        unused.append(right[:0:-1])
+    import orjson
+
+    a = np.ascontiguousarray(_validated(a))
+    for s in range(0, a.shape[0], _ROWS):
+        # One expression, so that no block's bytes outlive the step that uses them.
+        yield (orjson.dumps(a[s:s + _ROWS], option=orjson.OPT_SERIALIZE_NUMPY)[2:-2]
+               .replace(b"],[", b"\n").decode("ascii") + "\n")
 
 
 def read_csv_matrix(path) -> np.ndarray:
@@ -63,7 +65,7 @@ def read_csv_matrix(path) -> np.ndarray:
 
 
 def write_csv_matrix(path, a) -> None:
-    a = as_matrix(a)
+    a = _validated(a)
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.writelines(csv_lines(a))
 

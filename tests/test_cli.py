@@ -92,6 +92,28 @@ class TestInvert:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[-1] == "False"
 
+    def test_only_a_csv_write_imports_orjson(self, tmp_path):
+        path, _ = _write_sample(tmp_path)
+        script = (
+            "import sys\n"
+            "import syminv.cli\n"
+            "print('orjson' in sys.modules)\n"
+            "syminv.read_matrix(sys.argv[1])\n"
+            "print('orjson' in sys.modules)\n"
+            "assert syminv.cli.main(['invert', '--input', sys.argv[1], "
+            f"'--output', {str(tmp_path / 'inv.csv')!r}]) == 0\n"
+            "print('orjson' in sys.modules)\n"
+        )
+        src = os.path.dirname(os.path.dirname(os.path.abspath(syminv.__file__)))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p)
+        proc = subprocess.run([sys.executable, "-c", script, str(path)],
+                              env=env, capture_output=True, text=True,
+                              timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == ["False", "False", "True"]
+
     def test_unknown_method_is_usage_error(self, tmp_path, capsys):
         path, _ = _write_sample(tmp_path)
         with pytest.raises(SystemExit) as err:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from oracles import matmul_triple, random_symmetric, spectral_norm
+from oracles import random_symmetric, spectral_norm
 from syminv import (
     METHOD_FUNCS,
     DimensionMismatch,
@@ -16,7 +16,6 @@ from syminv import (
     as_vector,
     frobenius_norm,
     inverse_residual,
-    matmul,
     mirror_lower,
     norm2_estimate,
 )
@@ -79,27 +78,10 @@ class TestSymmetryCheck:
         assert SymmetryCheck().passes(np.array([[1.0, 2.0], [2.0, 3.0]]))
         assert not SymmetryCheck().passes(np.array([[1.0, 2.0], [2.0 + 1e-15, 3.0]]))
 
-    def test_tolerant(self):
-        a = np.array([[1.0, 2.0], [2.0 + 1e-12, 3.0]])
-        assert SymmetryCheck(tolerance=1e-9).passes(a)
-
     def test_exact_rejects_one_ulp(self):
         a = np.array([[1.0, 2.0], [np.nextafter(2.0, 3.0), 3.0]])
         assert not SymmetryCheck().passes(a)
         assert not SymmetryCheck().passes(a.T)
-
-    def test_tolerant_is_relative_to_max_one_and_entry(self):
-        a = np.array([[1.0, 1e6], [1e6 + 1e-4, 3.0]])
-        assert SymmetryCheck(tolerance=1e-9).passes(a)  # 1e-4 <= 1e-9 * 1e6
-        a[1, 0] = 1e6 + 1e-2
-        assert not SymmetryCheck(tolerance=1e-9).passes(a)
-        b = np.array([[1.0, 1e-3], [2e-3, 3.0]])
-        assert SymmetryCheck(tolerance=1e-3).passes(b)  # 1e-3 <= 1e-3 * 1
-        assert not SymmetryCheck(tolerance=9e-4).passes(b)
-
-    def test_negative_tolerance_rejected(self):
-        with pytest.raises(InvalidArgument):
-            SymmetryCheck(tolerance=-1.0)
 
 
 class TestOpCounter:
@@ -167,23 +149,6 @@ class TestRequiredSet:
         r = RequiredSet([1])
         with pytest.raises(AttributeError):
             r.indices = (2,)
-
-
-class TestMatmul:
-    def test_matches_triple_loop(self):
-        rng = np.random.default_rng(23)
-        a = rng.uniform(-1, 1, (4, 4))
-        b = rng.uniform(-1, 1, (4, 4))
-        np.testing.assert_allclose(matmul(a, b), matmul_triple(a, b), atol=1e-14)
-
-    def test_counts_cubed(self):
-        c = OpCounter()
-        matmul(np.eye(5), np.eye(5), c)
-        assert c.muldiv == 125
-
-    def test_rejects_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            matmul(np.eye(2), np.eye(3))
 
 
 def test_frobenius_norm():

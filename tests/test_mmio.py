@@ -1,11 +1,17 @@
 """Matrix file I/O: CSV and Matrix Market round-trips."""
 
+import io
 import warnings
+from decimal import Decimal
 
+import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from syminv import InvalidArgument, genbench, read_matrix, write_matrix
+from syminv.cli import _print_matrix
 from syminv.genbench import MatrixFamily, generate
 from syminv.mmio import csv_lines, read_csv_matrix, write_csv_matrix
 
@@ -99,8 +105,43 @@ def test_csv_bad_input_names_the_path(tmp_path, text):
     assert str(path) in str(err.value)
 
 
+def _spelled(v):
+    """The CSV spelling of *v*: repr's shortest digits, re-spelled by Ryu's rules.
+
+    Fixed notation for 1e-5 <= |v| < 1e16 (with ``.0`` on integers),
+    otherwise ``d.ddde<exp>`` with no ``+`` sign and no zero padding.
+    """
+    sign, digits, exp = Decimal(repr(v)).normalize().as_tuple()
+    sign, digits = "-" * sign, "".join(map(str, digits))
+    point = len(digits) + exp  # digits times 10**exp is 0.<digits> times 10**point
+    if digits == "0":
+        return sign + "0.0"
+    if exp >= 0 and point <= 16:
+        return sign + digits + "0" * exp + ".0"
+    if 0 < point <= 16:
+        return sign + digits[:point] + "." + digits[point:]
+    if -5 < point <= 0:
+        return sign + "0." + "0" * -point + digits
+    mantissa = digits[0] + ("." + digits[1:] if len(digits) > 1 else "")
+    return f"{sign}{mantissa}e{point - 1}"
+
+
 def _naive_csv(a):
-    return "".join(",".join(map(repr, row)) + "\n" for row in a.tolist())
+    return "".join(",".join(map(_spelled, row)) + "\n" for row in a.tolist())
+
+
+def _assert_same_text(got, want):
+    """Exact byte equality, reporting the first differing cell instead of a diff."""
+    if got == want:
+        return
+    got_lines, want_lines = got.split("\n"), want.split("\n")
+    for i, (g, w) in enumerate(zip(got_lines, want_lines)):
+        if g != w:
+            for j, (gc, wc) in enumerate(zip(g.split(","), w.split(","))):
+                if gc != wc:
+                    pytest.fail(f"row {i} cell {j}: {gc!r} != {wc!r}")
+            pytest.fail(f"row {i}: {len(g.split(','))} cells, expected {len(w.split(','))}")
+    pytest.fail(f"{len(got_lines)} lines, expected {len(want_lines)}")
 
 
 def _bitwise_symmetric(a):
@@ -112,13 +153,13 @@ def _bitwise_symmetric(a):
                                       ("v2", 200), ("gauss", 65)])
 def test_csv_round_trip_of_inverse_is_bitwise(tmp_path, method, n):
     inv = genbench.METHOD_FUNCS[method](generate(MatrixFamily("diag_dominant", n, 5)))
-    # v2 output takes the mirrored-string path, gauss output the general one.
+    # Cover a bitwise symmetric inverse (v2) and one that is not (gauss).
     assert _bitwise_symmetric(inv) == (method == "v2")
     path = tmp_path / "inv.csv"
     write_csv_matrix(str(path), inv)
     back = read_csv_matrix(str(path))
     np.testing.assert_array_equal(back.view(np.int64), inv.view(np.int64))
-    assert path.read_text() == _naive_csv(inv)
+    _assert_same_text(path.read_text(), _naive_csv(inv))
 
 
 def test_csv_keeps_signed_zeros(tmp_path):
@@ -137,7 +178,78 @@ def test_csv_lines_matches_naive_text(symmetric):
     if symmetric:
         a = np.tril(a) + np.tril(a, -1).T
     assert _bitwise_symmetric(a) == symmetric
-    assert "".join(csv_lines(a)) == _naive_csv(a)
+    _assert_same_text("".join(csv_lines(a)), _naive_csv(a))
+
+
+@pytest.mark.parametrize("value,text", [
+    (0.0, "0.0"),
+    (-0.0, "-0.0"),
+    (1e-05, "0.00001"),
+    (-1e-05, "-0.00001"),
+    (1.5e-05, "0.000015"),
+    (9.99999e-06, "9.99999e-6"),
+    (1e-07, "1e-7"),
+    (123.456, "123.456"),
+    (1e15, "1000000000000000.0"),
+    (9999999999999998.0, "9999999999999998.0"),
+    (1e16, "1e16"),
+    (1.5e16, "1.5e16"),
+    (5e-324, "5e-324"),
+    (2.2250738585072014e-308, "2.2250738585072014e-308"),
+    (1.7976931348623157e308, "1.7976931348623157e308"),
+])
+def test_csv_spelling_of_each_class(value, text):
+    assert _spelled(value) == text
+    assert "".join(csv_lines(np.array([[value]]))) == text + "\n"
+
+
+@pytest.mark.parametrize("n", [1, 127, 128, 129, 257])
+@pytest.mark.parametrize("layout", ["symmetric", "transposed"])
+def test_csv_blocks_join_at_every_row_count(tmp_path, n, layout):
+    rng = np.random.default_rng(n)
+    a = rng.standard_normal((n, n)) * 10.0 ** rng.integers(-30, 30, (n, n))
+    if layout == "symmetric":
+        a = np.tril(a) + np.tril(a, -1).T
+        assert _bitwise_symmetric(a)
+    else:
+        a = a.T  # a strided view, not C-contiguous once n > 1
+        assert a.flags.c_contiguous == (n == 1)
+    path = tmp_path / "m.csv"
+    write_csv_matrix(str(path), a)
+    text = path.read_text()
+    _assert_same_text(text, _naive_csv(a))
+    assert "".join(csv_lines(a)) == text
+    back = read_csv_matrix(str(path))
+    np.testing.assert_array_equal(back.view(np.int64), a.view(np.int64))
+
+
+_finite = st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=True)
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@example(np.array([[-0.0, 5e-324], [-2.2250738585072014e-308, 0.0]]))
+@given(st.integers(1, 6).flatmap(
+    lambda n: hnp.arrays(np.float64, (n, n), elements=_finite)))
+def test_csv_text_and_round_trip_property(a):
+    text = "".join(csv_lines(a))
+    _assert_same_text(text, _naive_csv(a))
+    back = np.array([[float(c) for c in row.split(",")] for row in text.splitlines()])
+    np.testing.assert_array_equal(back.view(np.int64), a.view(np.int64))
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_non_finite_never_reaches_the_text(tmp_path, bad):
+    a = np.array([[bad]])
+    with pytest.raises(InvalidArgument):
+        "".join(csv_lines(a))
+    path = tmp_path / "bad.csv"
+    with pytest.raises(InvalidArgument):
+        write_csv_matrix(str(path), a)
+    assert not path.exists()
+    stream = io.StringIO()
+    with pytest.raises(InvalidArgument):
+        _print_matrix(stream, a)
+    assert stream.getvalue() == ""
 
 
 def test_unknown_extension_rejected(tmp_path):
