@@ -17,7 +17,7 @@ Matrix Market files go through ``scipy.io`` and may use either the
 ``array`` or the ``coordinate`` layout; coordinate files (including
 ``symmetric`` ones) are expanded to dense on read.  SciPy is imported
 only when a Matrix Market file is read or written, and orjson only when
-a CSV file is written.
+CSV text is written.
 """
 
 from __future__ import annotations
