@@ -2,10 +2,10 @@
 
 Everything here is deliberately written with a different algorithm than
 the code under test: determinants by Laplace expansion over column
-subsets, inverses by the cofactor/adjugate formula, matrix products by
-the literal triple loop, the LDL^T factor one column at a time from the
-left, the Cholesky and LDL^T inverses by their row-by-row solves over
-whole rows, and eigenvalues by cyclic Jacobi rotations.
+subsets, inverses by the cofactor/adjugate formula, the LDL^T factor one
+column at a time from the left, the Cholesky and LDL^T inverses by their
+row-by-row solves over whole rows, and eigenvalues by cyclic Jacobi
+rotations.
 They are exponential or cubic with large constants, so callers keep the
 orders small (n <= 12 for determinants, n <= 8 in bulk).
 """
@@ -58,24 +58,6 @@ def inverse_bruteforce(a):
             minor = determinant(np.delete(rows, c, axis=1))
             cof[r, c] = (-1.0) ** (r + c) * minor
     return cof.T / det
-
-
-def matmul_triple(a, b):
-    """Matrix product by the literal triple loop."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    n, m = a.shape
-    m2, p = b.shape
-    if m != m2:
-        raise ValueError("inner dimensions differ")
-    out = np.zeros((n, p))
-    for i in range(n):
-        for j in range(p):
-            s = 0.0
-            for k in range(m):
-                s += a[i, k] * b[k, j]
-            out[i, j] = s
-    return out
 
 
 def ldl_columns(a):

@@ -92,16 +92,23 @@ class TestInvert:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[-1] == "False"
 
-    def test_only_a_csv_write_imports_orjson(self, tmp_path):
+    @pytest.mark.parametrize("io_call", [
+        "syminv.read_matrix(sys.argv[1])",
+        "syminv.write_matrix(sys.argv[1] + '.out.csv', a)",
+    ], ids=["read", "write"])
+    def test_only_csv_io_imports_orjson(self, tmp_path, io_call):
         path, _ = _write_sample(tmp_path)
         script = (
             "import sys\n"
+            "import numpy as np\n"
             "import syminv.cli\n"
+            "from syminv.genbench import METHOD_FUNCS\n"
             "print('orjson' in sys.modules)\n"
-            "syminv.read_matrix(sys.argv[1])\n"
+            "a = np.array([[2.0, 1.0], [1.0, 2.0]])\n"
+            "for invert in METHOD_FUNCS.values():\n"
+            "    invert(a)\n"
             "print('orjson' in sys.modules)\n"
-            "assert syminv.cli.main(['invert', '--input', sys.argv[1], "
-            f"'--output', {str(tmp_path / 'inv.csv')!r}]) == 0\n"
+            f"{io_call}\n"
             "print('orjson' in sys.modules)\n"
         )
         src = os.path.dirname(os.path.dirname(os.path.abspath(syminv.__file__)))

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from syminv import InvalidArgument, genbench, read_matrix, write_matrix
+from syminv import InvalidArgument, LinAlgError, genbench, mmio, read_matrix, write_matrix
 from syminv.cli import _print_matrix
 from syminv.genbench import MatrixFamily, generate
 from syminv.mmio import csv_lines, read_csv_matrix, write_csv_matrix
@@ -162,11 +162,12 @@ def test_csv_round_trip_of_inverse_is_bitwise(tmp_path, method, n):
     _assert_same_text(path.read_text(), _naive_csv(inv))
 
 
-def test_csv_keeps_signed_zeros(tmp_path):
+def test_csv_keeps_signed_zeros(tmp_path, monkeypatch):
     a = np.array([[1.0, 0.0], [-0.0, 1.0]])
     assert "".join(csv_lines(a)) == "1.0,0.0\n-0.0,1.0\n"
     path = tmp_path / "z.csv"
     write_csv_matrix(str(path), a)
+    monkeypatch.setattr(np, "loadtxt", _no_loadtxt)  # -0.0 keeps its sign in orjson
     back = read_csv_matrix(str(path))
     np.testing.assert_array_equal(np.signbit(back), np.signbit(a))
 
@@ -205,7 +206,7 @@ def test_csv_spelling_of_each_class(value, text):
 
 @pytest.mark.parametrize("n", [1, 127, 128, 129, 257])
 @pytest.mark.parametrize("layout", ["symmetric", "transposed"])
-def test_csv_blocks_join_at_every_row_count(tmp_path, n, layout):
+def test_csv_blocks_join_at_every_row_count(tmp_path, monkeypatch, n, layout):
     rng = np.random.default_rng(n)
     a = rng.standard_normal((n, n)) * 10.0 ** rng.integers(-30, 30, (n, n))
     if layout == "symmetric":
@@ -219,8 +220,13 @@ def test_csv_blocks_join_at_every_row_count(tmp_path, n, layout):
     text = path.read_text()
     _assert_same_text(text, _naive_csv(a))
     assert "".join(csv_lines(a)) == text
+    monkeypatch.setattr(np, "loadtxt", _no_loadtxt)  # the writer's files take the orjson path
     back = read_csv_matrix(str(path))
     np.testing.assert_array_equal(back.view(np.int64), a.view(np.int64))
+
+
+def _no_loadtxt(*args, **kwargs):
+    raise AssertionError("np.loadtxt was called")
 
 
 _finite = st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=True)
@@ -263,3 +269,98 @@ def test_unknown_extension_rejected(tmp_path):
 def test_read_missing_file_raises_oserror(tmp_path):
     with pytest.raises(OSError):
         read_matrix(str(tmp_path / "nope.csv"))
+
+
+@pytest.mark.parametrize("text", [
+    "\n1.5,-2\n\n-2,4\n\n",     # empty lines, which loadtxt skips too
+    " 1.5 ,\t-2\n-2 , 4 \n",      # whitespace around cells
+])
+def test_plain_csv_dialects_stay_on_the_orjson_path(tmp_path, monkeypatch, text):
+    path = tmp_path / "m.csv"
+    path.write_bytes(text.encode())
+    monkeypatch.setattr(np, "loadtxt", _no_loadtxt)
+    np.testing.assert_array_equal(read_csv_matrix(str(path)), [[1.5, -2.0], [-2.0, 4.0]])
+
+
+@pytest.mark.parametrize("text", [
+    '"1.5"\n',             # a byte outside the plain set
+    "1.5\r\n",             # CR
+    "1,2\n \n3,4\n",       # a whitespace-only line
+    "1,2\n3\n",            # ragged rows
+    "+1\n", ".5\n", "1.\n", "01\n", "1e400\n",  # not JSON numbers
+    # the integer -0, which orjson reads as 0, before LF, comma, space, tab, end
+    "-0\n", "-0,1\n1,1\n", "1,-0 \n1,1\n", "1,-0\t\n1,1\n", "1,1\n1,-0",
+])
+def test_non_plain_csv_goes_to_loadtxt(tmp_path, monkeypatch, text):
+    path = tmp_path / "m.csv"
+    path.write_bytes(text.encode())
+    monkeypatch.setattr(np, "loadtxt", _no_loadtxt)
+    with pytest.raises(AssertionError, match="np.loadtxt was called"):
+        read_csv_matrix(str(path))
+
+
+def _cell_spellings(v):
+    return st.sampled_from([repr(v), "%.17g" % v, "%.3e" % v])
+
+
+_nonzero_cells = st.one_of(
+    _finite.filter(bool).flatmap(_cell_spellings),
+    st.integers(2**53, 2**70).map(str),
+    st.integers(-2**70, -2**53).map(str),
+    st.just("1E+05"),
+)
+_zero_cells = st.sampled_from(["-0", "0", "-0.0", "0.0", "-1e-400", "0e5"])
+_odd_cells = st.one_of(
+    st.sampled_from(["+1", ".5", "1.", "01", "1e400", "true", "null", "1_0"]),
+    _nonzero_cells.map(lambda c: f'"{c}"'),
+)
+
+
+@st.composite
+def _csv_dialect_text(draw):
+    """The text of a CSV file of n*n cells, from plain to every dialect at once.
+
+    Each departure from a plain file is on in about one file of four, so
+    many files take the orjson path and the rest cover each reason to fall
+    back, alone and combined.
+    """
+    def departs():
+        return draw(st.integers(0, 3)) == 0
+
+    n = draw(st.integers(1, 4))
+    cell = st.one_of(_nonzero_cells, *[c for c in (_zero_cells, _odd_cells) if departs()])
+    pad = st.sampled_from(["", " ", "\t", " \t"]) if departs() else st.just("")
+    cells = [draw(pad) + draw(cell) + draw(pad) for _ in range(n * n)]
+    cuts = list(range(n, n * n, n))
+    if n > 1 and departs():  # ragged rows whose lengths still sum to n*n
+        cuts = sorted(draw(st.sets(st.integers(1, n * n - 1))))
+    rows = [",".join(cells[i:j]) for i, j in zip([0] + cuts, cuts + [n * n])]
+    if departs():  # blank and whitespace-only lines
+        for _ in range(draw(st.integers(1, 3))):
+            rows.insert(draw(st.integers(0, len(rows))), draw(st.sampled_from(["", " ", "\t"])))
+    ends = st.sampled_from(["\n", "\r\n", "\r"]) if departs() else st.just("\n")
+    text = "".join(row + draw(ends) for row in rows)
+    return text.rstrip("\r\n") if departs() else text
+
+
+def _outcome(read, path):
+    """The matrix's bits, or the error's type and message."""
+    try:
+        return read(path).view(np.int64).tolist()
+    except LinAlgError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=400, deadline=None, database=None)
+@example("5.0\r\t")
+@example("-0,1\n1,-0\n")
+@example("0,-0.0\n-1e-400,-0e5\n")
+@example("18446744073709551617,1\n1,2\n")
+@given(_csv_dialect_text())
+def test_csv_reader_equals_loadtxt_route_property(tmp_path_factory, text):
+    # The same matrix bit for bit, or the same error: a parse error is an
+    # InvalidArgument naming the path on both routes.
+    path = str(tmp_path_factory.getbasetemp() / "dialect.csv")
+    with open(path, "wb") as fh:
+        fh.write(text.encode("ascii"))
+    assert _outcome(read_csv_matrix, path) == _outcome(mmio._read_csv_loadtxt, path)

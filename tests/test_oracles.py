@@ -9,7 +9,6 @@ from oracles import (
     jacobi_eigenvalues,
     ldl_columns,
     ldl_inverse_rows,
-    matmul_triple,
     random_symmetric,
     spectral_norm,
 )
@@ -51,15 +50,6 @@ def test_inverse_bruteforce_random():
         a = rng.uniform(-1, 1, (n, n)) + np.eye(n) * n
         inv = inverse_bruteforce(a)
         np.testing.assert_allclose(a @ inv, np.eye(n), atol=1e-10)
-
-
-def test_matmul_triple():
-    a = np.array([[1.0, 2.0], [3.0, 4.0]])
-    b = np.array([[5.0, 6.0], [7.0, 8.0]])
-    np.testing.assert_array_equal(matmul_triple(a, b),
-                                  [[19.0, 22.0], [43.0, 50.0]])
-    with pytest.raises(ValueError):
-        matmul_triple(np.ones((2, 3)), np.ones((2, 3)))
 
 
 def test_jacobi_known_eigenvalues():
