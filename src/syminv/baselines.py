@@ -18,6 +18,9 @@ instruction: a triangular matrix-vector product is tallied without the
 structural zeros above the diagonal even though the vectorized kernel
 multiplies them, and the Krishnamoorthy-Menon row scalings are absorbed
 into its classical total.  Counts are integer-exact for every order n.
+Each phase adds its model once its arithmetic is done, so a method that
+raises has counted only the phases it completed: a rejected pivot in
+the factor leaves the counter untouched.
 
 Every method here, like v1 and v2 in ``symmetric``, forms its inverse
 with the same two kernels: ``_lower_gram``, the lower triangle of
@@ -78,21 +81,14 @@ def cholesky_factor(a, counter=None) -> CholFactor:
     Column j costs j multiplications for the diagonal, one square root,
     and (n-1-j)(j+1) multiplications and divisions below it.  Raises
     NotPositiveDefinite when the quantity under the square root is not
-    safely positive.  Evaluated on the LDL^T kernel, whose pivot d_j is
-    that quantity: L = L~ diag(sqrt(d)), n square roots.
+    safely positive, having counted nothing.  Evaluated on the LDL^T
+    kernel, whose pivot d_j is that quantity: L = L~ diag(sqrt(d)), n
+    square roots.
     """
     a = _checked_symmetric(a)
     n = a.shape[0]
     cnt = counter if counter is not None else OpCounter()
-    try:
-        unit, d, blocks = _ldl_nopiv_blocked(a, cholesky=True)
-    except NotPositiveDefinite as exc:
-        # The column model up to the rejected pivot: columns 0..j-1 in
-        # full and the j diagonal products of column j.
-        j = exc.step
-        cnt.add_muldiv(sum(i + (n - 1 - i) * (i + 1) for i in range(j)) + j)
-        cnt.add_sqrt(j)
-        raise
+    unit, d, blocks = _ldl_nopiv_blocked(a, cholesky=True)
     root = np.sqrt(d)
     l = unit * root
     l[np.diag_indices(n)] = root

@@ -34,9 +34,9 @@ class ZeroPivot(LinAlgError):
             order ``step + 1`` is numerically zero).
     """
 
-    def __init__(self, step, message=None):
+    def __init__(self, step):
         self.step = int(step)
-        super().__init__(message or f"zero pivot at elimination step {self.step}")
+        super().__init__(f"zero pivot at elimination step {self.step}")
 
 
 class NotPositiveDefinite(LinAlgError):
@@ -46,9 +46,9 @@ class NotPositiveDefinite(LinAlgError):
         step: 0-based column index of the offending Cholesky pivot.
     """
 
-    def __init__(self, step, message=None):
+    def __init__(self, step):
         self.step = int(step)
-        super().__init__(message or f"non-positive pivot at column {self.step}")
+        super().__init__(f"non-positive pivot at column {self.step}")
 
 
 class GenerationFailed(LinAlgError):

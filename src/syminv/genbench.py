@@ -157,10 +157,6 @@ class InversionReport:
     elapsed_seconds: float | None
     status: str = "ok"
 
-    @property
-    def n(self) -> int:
-        return self.family.n
-
 
 def _method_func(name):
     try:

@@ -96,10 +96,6 @@ class OpCounter:
             raise InvalidArgument("cannot add a negative operation count")
         self.sqrt += int(count)
 
-    def merge(self, other: "OpCounter") -> None:
-        self.add_muldiv(other.muldiv)
-        self.add_sqrt(other.sqrt)
-
     def __repr__(self):
         return f"OpCounter(muldiv={self.muldiv}, sqrt={self.sqrt})"
 

@@ -48,12 +48,13 @@ only, an unpivoted row additionally carries its untouched identity entry
 — so a full inversion costs exactly n^3 and a trailing-p partial solve
 costs n^3/3 + n^2/2 + n/6 + p^2 n − p n − p^3/3 + p^2/2 − p/6 for the
 elimination, with or without pivot swaps, since a swap keeps every
-row's profile.  The panel rows' steps are tallied as they run, each
-plus the 2 m s products by which a step on C (m rows, s columns
-narrower) falls short of the same step on F; the other rows' share of
-each step is the per-step model, added once per panel.  The stepwise
-``eliminate_step`` measures the whole count, and it equals the panel
-driver's exactly.
+row's profile.  Step k on m rows costs ``_step_cost(m, k)``, and step k
+updates the required rows above k and every row from k on.  The
+stepwise ``eliminate_step`` measures the count, adding each step once
+it is done.  ``eliminate`` models it: each panel adds the per-step
+model of the steps it ran in one sum once its arithmetic is done, and
+a swap step adds its own.  The two counts are equal, and a run that
+raises has counted exactly the steps and panels it completed.
 """
 
 from __future__ import annotations
@@ -106,16 +107,25 @@ def _active_rows(mask, k) -> np.ndarray:
     return np.flatnonzero(act)
 
 
-def _run_step(a, f, k, rows, pivot_tol, counter, allow_swaps, swaps) -> None:
-    """Apply elimination step k to f in place.
+def _step_cost(m, k) -> int:
+    """Muldiv of elimination step k on m rows.
+
+    The m k products of the multipliers, the reciprocal, the k products
+    scaling the pivot row and the (m - 1)(k + 1) of the rank-one update
+    of the other rows: m (2k + 1) in all.
+    """
+    return m * (2 * k + 1)
+
+
+def _run_step(a, f, k, rows, pivot_tol, allow_swaps, swaps) -> None:
+    """Apply elimination step k to f in place; the caller counts it.
 
     rows holds the sorted indices of the rows to update: the active rows,
     or in the panel driver the live rows of the panel's C against P;
     either way every row from k to rows[-1].  A swap with row j
     exchanges rows k and j of the working copy a and the pivoted parts
     f[k, :k] and f[j, :k], so every row keeps its profile, and logs
-    (k, j) in swaps.  A rejected pivot raises before a, f or the counter
-    is touched.
+    (k, j) in swaps.  A rejected pivot raises before a or f is touched.
     """
     acol = a[:, k]
     m = int(rows.size)
@@ -153,9 +163,6 @@ def _run_step(a, f, k, rows, pivot_tol, counter, allow_swaps, swaps) -> None:
         d[kpos], d[jrel] = float(d[jrel]), g
         swaps.append((k, j))
         g = float(d[kpos])
-    # The d products, the reciprocal, the pivot-row scaling and the
-    # rank-one update of the other rows.
-    counter.add_muldiv(m * k + 1 + k + (m - 1) * (k + 1))
 
     r = 1.0 / g
     f[k, :k] *= r
@@ -172,7 +179,8 @@ def _run_panel(a, f, s, mask, pivot_tol, counter, allow_swaps, swaps) -> int:
     """Apply the steps of the panel starting at step s to f in place.
 
     Returns the step the next panel starts at: the panel's end, or the
-    step after a pivot swap, which ends the panel early.
+    step after a pivot swap, which ends the panel early.  Counts the
+    panel's steps once they are done, then the swap step.
     """
     n = a.shape[0]
     e = min(s + _BLOCK, n)
@@ -186,24 +194,20 @@ def _run_panel(a, f, s, mask, pivot_tol, counter, allow_swaps, swaps) -> int:
     f_s = f[s:e, :e].copy()
 
     # The panel rows stay combinations C F_s[s:e] of their rows before it,
-    # with multipliers C P, P = D[s:e]: the steps run 64 wide on C and P,
-    # and each is tallied 2 m s short of the same step on m rows of F.
+    # with multipliers C P, P = D[s:e]: the steps run 64 wide on C and P.
     c = np.eye(e - s)
     rows = np.arange(e - s)  # the live rows
     stop = e
-    stepped = 0  # sum of m over the panel's steps
     for k in range(s, e):
         try:
-            _run_step(d_low[:e - s], c, k - s, rows, pivot_tol, counter, False, swaps)
+            _run_step(d_low[:e - s], c, k - s, rows, pivot_tol, False, swaps)
         except ZeroPivot:
             if not allow_swaps:
                 raise ZeroPivot(k) from None
             stop = k
             break
-        stepped += rows.size
         if not mask[k]:  # row k freezes
             rows = rows[rows != k - s]
-    counter.add_muldiv(2 * s * stepped)
     f[s:e, :e] = c @ f_s
 
     # Every other active row takes the panel's steps s..stop-1 at once,
@@ -227,10 +231,15 @@ def _run_panel(a, f, s, mask, pivot_tol, counter, allow_swaps, swaps) -> int:
         w += pinv @ (f_s[:j, :stop] - p @ w)
         f[up, :stop] -= d_up[:, :j] @ w
         f[e:, :stop] -= d_low[e - s:, :j] @ w
-        counter.add_muldiv(outside * (stop * stop - s * s))
+    # Step k's rows: the required rows above k, then every row from k on.
+    ahead = above.size + np.cumsum(mask[s:stop]) - mask[s:stop]
+    counter.add_muldiv(sum(_step_cost(int(r) + n - k, k)
+                           for k, r in zip(range(s, stop), ahead)))
     if stop == e:
         return e
-    _run_step(a, f, stop, _active_rows(mask, stop), pivot_tol, counter, True, swaps)
+    rows = _active_rows(mask, stop)
+    _run_step(a, f, stop, rows, pivot_tol, True, swaps)
+    counter.add_muldiv(_step_cost(rows.size, stop))
     return stop + 1
 
 
@@ -281,10 +290,8 @@ def solve(a, b, required, counter=None, allow_swaps=True) -> dict[int, float]:
     req = _coerce_required(required, n)
     cnt = counter if counter is not None else OpCounter()
     f = eliminate(a, req, cnt, allow_swaps)
-    out = {}
-    for i in req:
-        out[i] = float(f[i - 1] @ bv)
-        cnt.add_muldiv(n)
+    out = {i: float(f[i - 1] @ bv) for i in req}
+    cnt.add_muldiv(n * len(out))
     return out
 
 
@@ -328,8 +335,9 @@ def eliminate_step(state: EliminationState, counter=None, allow_swaps=True) -> E
         a[[k, j]] = a[[j, k]]
         f[:, [k, j]] = f[:, [j, k]]
     cnt = counter if counter is not None else OpCounter()
-    _run_step(a, f, state.step, state.active_rows(), default_pivot_tol(state.a),
-              cnt, allow_swaps, swaps)
+    rows = state.active_rows()
+    _run_step(a, f, state.step, rows, default_pivot_tol(state.a), allow_swaps, swaps)
+    cnt.add_muldiv(_step_cost(rows.size, state.step))
     _to_caller(f, swaps)
     return dataclasses.replace(state, f=f, step=state.step + 1, perm=tuple(swaps))
 

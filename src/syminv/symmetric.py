@@ -14,8 +14,8 @@ elimination of ``modgauss`` with only the last solution component
 required, freezing each row right after its pivot step; this yields
 F = D^-1 M, exactly lower triangular.  The elimination runs in
 64-column panels: the rows below a panel take its steps as one matrix
-product, and the count adds their share of each step from the per-step
-model (``modgauss.eliminate_step`` measures it).  Stage two adds the
+product, and each panel adds the per-step model of its steps in one
+sum (``modgauss.eliminate_step`` measures it).  Stage two adds the
 rank-one corrections outer(row_k / f_kk, row_k), k = 1..n-1, to the
 leading blocks, i.e. forms the lower triangle of F^T diag(F)^-1 F.  Cost:
 n^3/3 + n^2/2 + n/6 plus n^3/6 + n^2/2 - 2n/3, i.e. n^3/2 + n^2 - n/2
@@ -61,7 +61,7 @@ def lower_stage(a, counter=None) -> np.ndarray:
 
     Returns an exactly lower-triangular F whose row i is the last row of
     the inverse of the leading (i+1) x (i+1) block of a.  Costs
-    n^3/3 + n^2/2 + n/6 multiplications and divisions, tallied by the
+    n^3/3 + n^2/2 + n/6 multiplications and divisions, modelled by the
     elimination's panel driver.
     """
     a = _checked_symmetric(a)
@@ -229,19 +229,16 @@ def invert_symmetric_robust(a, counter=None) -> np.ndarray:
     numerically zero, falls back to the row-swapping elimination (n^3,
     since its swaps keep the row profile) and symmetrizes its result as
     (R + R^T) / 2, which costs n^2 extra multiplications: n^3 + n^2 in
-    all.  Only the operations of the path that produced the result are
-    added to the counter.  The fallback runs only after invert_v2 has
-    checked the input's symmetry.
+    all.  invert_v2 counts nothing before it can raise ZeroPivot, so the
+    counter holds only the operations of the path that produced the
+    result.  The fallback runs only after invert_v2 has checked the
+    input's symmetry.
     """
     cnt = counter if counter is not None else OpCounter()
-    attempt = OpCounter()
     try:
-        inv = invert_v2(a, attempt)
+        return invert_v2(a, cnt)
     except ZeroPivot:
         pass
-    else:
-        cnt.merge(attempt)
-        return inv
     raw = modgauss.invert(a, cnt, allow_swaps=True)
     cnt.add_muldiv(raw.shape[0] ** 2)
     return (raw + raw.T) * 0.5

@@ -1,0 +1,160 @@
+"""The counting rule: a phase is counted once its arithmetic is done.
+
+Arithmetic routines only compute.  Each blocked phase adds its per-step
+model in one call after its arithmetic succeeded, and stepwise paths
+add each step as it completes, so a call that raises leaves on the
+counter exactly what completed before the failure.
+"""
+
+import inspect
+
+import numpy as np
+import pytest
+
+from syminv import (
+    MatrixFamily,
+    NotPositiveDefinite,
+    OpCounter,
+    ZeroPivot,
+    baselines,
+    generate,
+    genbench,
+    modgauss,
+    symmetric,
+)
+
+N = 200
+STEP = 130  # inside the third 64-column panel, [128, 192)
+
+
+def _failing_at(step, shift=0.0, seed=1):
+    """diag_dominant of order N whose pivot `step` is zero (plus *shift*).
+
+    The diagonal entry a[step, step] is set to the Schur complement of the
+    leading block, so the pivot of that step is rounding noise, far below
+    the pivot tolerance; *shift* moves it off zero.
+    """
+    a = generate(MatrixFamily("diag_dominant", N, seed))
+    lead = a[:step, :step]
+    a[step, step] = a[step, :step] @ np.linalg.solve(lead, a[:step, step]) + shift
+    return a
+
+
+class _Recording(OpCounter):
+    """OpCounter that also counts the calls made to it."""
+
+    __slots__ = ("calls",)
+
+    def __init__(self):
+        super().__init__()
+        self.calls = 0
+
+    def add_muldiv(self, count):
+        self.calls += 1
+        super().add_muldiv(count)
+
+    def add_sqrt(self, count=1):
+        self.calls += 1
+        super().add_sqrt(count)
+
+
+class TestFailedCalls:
+    @pytest.mark.parametrize("func", [symmetric.lower_stage, symmetric.invert_v1])
+    def test_failure_inside_a_panel_counts_the_completed_panels(self, func):
+        a = _failing_at(STEP)
+        cnt = OpCounter()
+        with pytest.raises(ZeroPivot) as err:
+            func(a, cnt)
+        assert err.value.step == STEP
+        # Steps 0..127 ran in the two completed panels; the third panel's
+        # steps 128 and 129 ran too, but that panel did not complete.
+        assert cnt.muldiv == 1_886_912
+        state = modgauss.EliminationState.start(a, [N])
+        stepwise = OpCounter()
+        while state.step < 128:
+            state = modgauss.eliminate_step(state, stepwise, allow_swaps=False)
+        assert cnt.muldiv == stepwise.muldiv
+
+    def test_stepwise_failure_counts_every_completed_step(self):
+        a = _failing_at(STEP)
+        state = modgauss.EliminationState.start(a, [N])
+        cnt = OpCounter()
+        with pytest.raises(ZeroPivot):
+            while True:
+                state = modgauss.eliminate_step(state, cnt, allow_swaps=False)
+        assert state.step == STEP
+        assert cnt.muldiv == sum((N - k) * (2 * k + 1) for k in range(STEP)) == 1_923_805
+
+    @pytest.mark.parametrize("func", [
+        symmetric.invert_v2, baselines.ldl_factor, baselines.invert_ldl,
+    ])
+    def test_failed_factor_form_counts_nothing(self, func):
+        cnt = OpCounter()
+        with pytest.raises(ZeroPivot) as err:
+            func(_failing_at(STEP), cnt)
+        assert err.value.step == STEP
+        assert (cnt.muldiv, cnt.sqrt) == (0, 0)
+
+    @pytest.mark.parametrize("func", [
+        baselines.cholesky_factor, baselines.invert_cholesky, baselines.invert_km,
+    ])
+    def test_failed_cholesky_counts_nothing(self, func):
+        cnt = OpCounter()
+        with pytest.raises(NotPositiveDefinite) as err:
+            func(_failing_at(STEP, shift=-1.0), cnt)
+        assert err.value.step == STEP
+        assert (cnt.muldiv, cnt.sqrt) == (0, 0)
+
+    @pytest.mark.parametrize("a", [
+        _failing_at(STEP),
+        generate(MatrixFamily("zero_leading_minor", N, 3)),
+    ], ids=["zero-pivot-at-130", "zero-leading-minor"])
+    def test_robust_fallback_counts_only_the_fallback(self, a):
+        cnt = OpCounter()
+        symmetric.invert_symmetric_robust(a, cnt)
+        assert (cnt.muldiv, cnt.sqrt) == (N ** 3 + N ** 2, 0)
+
+
+class TestCallsPerRun:
+    """One tally per blocked phase: the panel driver adds one per panel."""
+
+    @pytest.mark.parametrize("method, calls", [("gauss", 1), ("v1", 2), ("v2", 1)])
+    def test_counter_calls_at_n32(self, method, calls):
+        a = generate(MatrixFamily("diag_dominant", 32, 5))
+        cnt = _Recording()
+        genbench.METHOD_FUNCS[method](a, cnt)
+        assert cnt.calls == calls
+
+    def test_robust_fallback_calls_at_n32(self):
+        # The panel cut short by the swap at step 0, the swap step, the
+        # panel after it and the symmetrization.
+        z = generate(MatrixFamily("zero_leading_minor", 32, 5))
+        cnt = _Recording()
+        symmetric.invert_symmetric_robust(z, cnt)
+        assert cnt.calls == 4
+
+    def test_one_tally_per_panel_and_swap_step(self):
+        a = generate(MatrixFamily("diag_dominant", N, 5))
+        a[STEP, :STEP + 1] = 0.0  # the pivot of step 130 is exactly zero: one swap
+        cnt = _Recording()
+        modgauss.invert(a, cnt)
+        # Panels [0, 64), [64, 128), [128, 130) cut by the swap, the swap
+        # step 130, then [131, 195) and [195, 200).
+        assert cnt.calls == 6
+        assert cnt.muldiv == N ** 3
+
+    def test_solve_adds_its_dot_products_once(self):
+        a = generate(MatrixFamily("diag_dominant", 32, 5))
+        cnt = _Recording()
+        modgauss.solve(a, np.ones(32), [3, 17, 32], cnt)
+        assert cnt.calls == 2
+
+
+def test_one_step_formula_and_no_counter_in_the_arithmetic():
+    assert "counter" not in inspect.signature(modgauss._run_step).parameters
+    assert not hasattr(OpCounter, "merge")
+    # m rows at step k: m k multiplier products, one reciprocal, k to scale
+    # the pivot row and (m - 1)(k + 1) for the rank-one update.
+    for m in range(1, 9):
+        for k in range(9):
+            assert modgauss._step_cost(m, k) == m * k + 1 + k + (m - 1) * (k + 1)

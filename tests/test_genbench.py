@@ -9,10 +9,13 @@ import pytest
 from syminv import (
     DEFAULT_METHODS,
     FAMILY_KINDS,
+    GenerationFailed,
     InvalidArgument,
     InversionReport,
     MatrixFamily,
     NotPositiveDefinite,
+    ZeroPivot,
+    baselines,
     emit_report,
     generate,
     ldl_factor,
@@ -204,3 +207,35 @@ def test_run_verification_small():
 
     with pytest.raises(InvalidArgument):
         run_verification(max_n=1)
+
+
+class TestNonDominantReseed:
+    """A draw whose leading minors fail the pivot test is replaced by the next seed's."""
+
+    def _ldl_rejecting(self, monkeypatch, rejections):
+        calls = []
+        real = baselines.ldl_factor
+
+        def ldl_factor(a, counter=None):
+            calls.append(a.copy())
+            if len(calls) <= rejections:
+                raise ZeroPivot(0)
+            return real(a, counter)
+
+        monkeypatch.setattr(baselines, "ldl_factor", ldl_factor)
+        return calls
+
+    def test_rejected_draw_takes_the_next_seed(self, monkeypatch):
+        want = generate(MatrixFamily("non_dominant", 8, 6))
+        calls = self._ldl_rejecting(monkeypatch, 1)
+        got = generate(MatrixFamily("non_dominant", 8, 5))
+        assert len(calls) == 2
+        assert not np.array_equal(calls[0], want)
+        np.testing.assert_array_equal(calls[1], want)
+        np.testing.assert_array_equal(got, want)
+
+    def test_gives_up_after_100_draws(self, monkeypatch):
+        calls = self._ldl_rejecting(monkeypatch, 100)
+        with pytest.raises(GenerationFailed, match="after 100 reseeds"):
+            generate(MatrixFamily("non_dominant", 8, 5))
+        assert len(calls) == 100  # every draw violates dominance and reaches the test

@@ -100,15 +100,6 @@ class TestOpCounter:
         with pytest.raises(InvalidArgument):
             c.add_sqrt(-1)
 
-    def test_merge(self):
-        a, b = OpCounter(), OpCounter()
-        a.add_muldiv(3)
-        b.add_muldiv(4)
-        b.add_sqrt(1)
-        a.merge(b)
-        assert (a.muldiv, a.sqrt) == (7, 1)
-        assert (b.muldiv, b.sqrt) == (4, 1)
-
 
 class TestRequiredSet:
     def test_sorts_and_dedupes(self):

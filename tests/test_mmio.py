@@ -10,8 +10,16 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from syminv import InvalidArgument, LinAlgError, genbench, mmio, read_matrix, write_matrix
-from syminv.cli import _print_matrix
+from syminv import (
+    InvalidArgument,
+    LinAlgError,
+    genbench,
+    invert_v2,
+    mmio,
+    read_matrix,
+    write_matrix,
+)
+from syminv.cli import _print_matrix, main
 from syminv.genbench import MatrixFamily, generate
 from syminv.mmio import csv_lines, read_csv_matrix, write_csv_matrix
 
@@ -364,3 +372,42 @@ def test_csv_reader_equals_loadtxt_route_property(tmp_path_factory, text):
     with open(path, "wb") as fh:
         fh.write(text.encode("ascii"))
     assert _outcome(read_csv_matrix, path) == _outcome(mmio._read_csv_loadtxt, path)
+
+
+def test_coordinate_symmetric_matrix_market_expands_to_dense(tmp_path):
+    # Only the lower triangle is stored; (3, 1) is an implicit zero.
+    path = tmp_path / "a.mtx"
+    path.write_text(
+        "%%MatrixMarket matrix coordinate real symmetric\n"
+        "% a hand-written 3x3\n"
+        "3 3 5\n"
+        "1 1 4.0\n"
+        "2 1 1.0\n"
+        "2 2 3.0\n"
+        "3 2 -0.5\n"
+        "3 3 2.0\n"
+    )
+    want = np.array([[4.0, 1.0, 0.0], [1.0, 3.0, -0.5], [0.0, -0.5, 2.0]])
+    got = read_matrix(str(path))
+    assert got.dtype == np.float64 and got.flags.c_contiguous
+    np.testing.assert_array_equal(got, want)
+
+    dest = tmp_path / "inv.csv"
+    assert main(["invert", "--method", "v2", "--input", str(path),
+                 "--output", str(dest), "--count"]) == 0
+    np.testing.assert_array_equal(read_matrix(str(dest)), invert_v2(want))
+
+
+@pytest.mark.parametrize("at", [0, 128], ids=["leading", "after-128-rows"])
+def test_csv_block_of_128_blank_lines(tmp_path, monkeypatch, at):
+    # A whole orjson block of empty lines is skipped, as loadtxt skips them.
+    n = 130
+    a = np.random.default_rng(at).uniform(-1, 1, (n, n))
+    lines = "".join(csv_lines(a)).splitlines(keepends=True)
+    path = tmp_path / "blank.csv"
+    path.write_text("".join(lines[:at] + ["\n"] * 128 + lines[at:]))
+    want = mmio._read_csv_loadtxt(str(path))
+    monkeypatch.setattr(np, "loadtxt", _no_loadtxt)  # the block stays on the orjson path
+    got = read_csv_matrix(str(path))
+    np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+    np.testing.assert_array_equal(got, a)
