@@ -374,7 +374,7 @@ def test_csv_reader_equals_loadtxt_route_property(tmp_path_factory, text):
     assert _outcome(read_csv_matrix, path) == _outcome(mmio._read_csv_loadtxt, path)
 
 
-def test_coordinate_symmetric_matrix_market_expands_to_dense(tmp_path):
+def test_coordinate_symmetric_matrix_market_expands_to_dense(tmp_path, capsys):
     # Only the lower triangle is stored; (3, 1) is an implicit zero.
     path = tmp_path / "a.mtx"
     path.write_text(
@@ -395,6 +395,7 @@ def test_coordinate_symmetric_matrix_market_expands_to_dense(tmp_path):
     dest = tmp_path / "inv.csv"
     assert main(["invert", "--method", "v2", "--input", str(path),
                  "--output", str(dest), "--count"]) == 0
+    assert capsys.readouterr().out == "muldiv=18 sqrt=0\n"  # (n^3 + n^2)/2
     np.testing.assert_array_equal(read_matrix(str(dest)), invert_v2(want))
 
 

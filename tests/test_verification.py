@@ -220,7 +220,7 @@ CASES = [
      lambda mp: mp.setattr(modgauss, "row_identities_check", lambda a, f, required=None: True)),
     ("stepwise-extra-muldiv", {"panel-driver": "panel count"},
      lambda mp: mp.setattr(modgauss, "eliminate_step",
-                           _extra_step_count(modgauss.eliminate_step))),
+                           _extra_step_count(_ORIGINAL["eliminate_step"]))),
     ("stepwise-logs-a-swap", {"panel-driver": "unexpected swap log"},
      lambda mp: mp.setattr(modgauss, "eliminate_step", _step_logging_a_swap)),
     ("stepwise-result-off", {"panel-driver": "panel and stepwise results disagree"},
