@@ -13,18 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import InvalidArgument
-
-METHODS = (
-    "cholesky",
-    "ldl",
-    "km",
-    "v1",
-    "v1_stage1",
-    "v1_stage2",
-    "v2",
-    "modgauss_full",
-    "modgauss_p",
-)
+from .matcore import as_integer
 
 TABLE_METHODS = ("cholesky", "ldl", "km", "v1", "v2")
 
@@ -44,6 +33,8 @@ _MULDIV = {
     ),
 }
 
+METHODS = tuple(_MULDIV)
+
 _SQRT_METHODS = frozenset({"cholesky", "km"})
 
 
@@ -56,9 +47,7 @@ def _check_method(method) -> str:
 
 
 def _check_order(n) -> int:
-    if n != int(n):
-        raise InvalidArgument(f"matrix order must be an integer, got {n!r}")
-    n = int(n)
+    n = as_integer(n, "matrix order")
     if n < 1:
         raise InvalidArgument(f"matrix order must be positive, got {n}")
     return n
@@ -76,9 +65,9 @@ def q_theor(method, n, p=None) -> int:
     if method == "modgauss_p":
         if p is None:
             raise InvalidArgument("method 'modgauss_p' requires the block size p")
-        if p != int(p) or not 0 <= int(p) <= n:
-            raise InvalidArgument(f"block size p={p!r} out of range [0, {n}]")
-        p = int(p)
+        p = as_integer(p, "block size p")
+        if not 0 <= p <= n:
+            raise InvalidArgument(f"block size p={p} out of range [0, {n}]")
     elif p is not None:
         raise InvalidArgument(f"method {method!r} does not take a block size p")
     value = _MULDIV[method](n, 0 if p is None else p)

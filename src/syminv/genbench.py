@@ -38,6 +38,7 @@ from .errors import GenerationFailed, InvalidArgument, LinAlgError, ZeroPivot
 from .matcore import (
     OpCounter,
     RequiredSet,
+    as_integer,
     frobenius_norm,
     inverse_residual,
     mirror_lower,
@@ -83,10 +84,10 @@ class MatrixFamily:
             raise InvalidArgument(
                 f"unknown family kind {self.kind!r}; expected one of {FAMILY_KINDS}"
             )
-        if int(self.n) < 1:
+        object.__setattr__(self, "n", as_integer(self.n, "matrix order"))
+        object.__setattr__(self, "seed", as_integer(self.seed, "seed"))
+        if self.n < 1:
             raise InvalidArgument(f"matrix order must be positive, got {self.n}")
-        object.__setattr__(self, "n", int(self.n))
-        object.__setattr__(self, "seed", int(self.seed))
 
 
 def _symmetric_uniform(rng, n, with_diagonal):
@@ -403,16 +404,12 @@ def _verify_structure(seed):
 def _verify_sqrt_freedom(seed):
     n = 17
     a = generate(MatrixFamily("diag_dominant", n, seed + n))
-    for method in ("v1", "v2", "ldl", "gauss"):
+    for method in DEFAULT_METHODS + ("gauss",):
         cnt = OpCounter()
         METHOD_FUNCS[method](a, cnt)
-        if cnt.sqrt != 0:
-            return False, f"{method} evaluated {cnt.sqrt} square roots"
-    for method in ("cholesky", "km"):
-        cnt = OpCounter()
-        METHOD_FUNCS[method](a, cnt)
-        if cnt.sqrt != n:
-            return False, f"{method} evaluated {cnt.sqrt} square roots, expected {n}"
+        want = complexity.s_theor(_FORMULA_NAME[method], n)
+        if cnt.sqrt != want:
+            return False, f"{method} evaluated {cnt.sqrt} square roots, expected {want}"
     return True, "square-root tallies are 0 (v1/v2/ldl/gauss) and n (cholesky/km)"
 
 

@@ -4,13 +4,14 @@ Matrices are plain square ``numpy.ndarray`` objects of dtype float64.
 ``as_matrix`` is the single entry point that enforces the shared
 invariants (square, at least 1x1, all entries finite) and returns a fresh
 buffer, so no routine in this package ever mutates caller-owned data.
-Routines that only read their input check it with ``_validated``, the
-same checks without the copy.
+Routines that only read their input, or hold an array they have just
+made, check it with ``_validated``, the same checks without the copy.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -39,6 +40,21 @@ def _validated(data) -> np.ndarray:
     if not np.isfinite(a).all():
         raise InvalidArgument("matrix entries must be finite")
     return a
+
+
+def as_integer(value, what: str) -> int:
+    """*value* as an int; InvalidArgument unless it is a finite integral number.
+
+    The one integer rule for matrix orders, seeds and indices: 2.0 and
+    numpy integers pass, while 2.5, NaN, infinities and non-numbers
+    such as "2" or None are rejected rather than truncated.
+    """
+    try:
+        if value == int(value):
+            return int(value)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise InvalidArgument(f"{what} must be an integer, got {value!r}")
 
 
 def as_vector(data, n: int) -> np.ndarray:
@@ -71,6 +87,7 @@ def _checked_symmetric(a) -> np.ndarray:
     return a
 
 
+@dataclass(slots=True, eq=False)
 class OpCounter:
     """Tallies multiplications+divisions and square roots for one run.
 
@@ -80,11 +97,8 @@ class OpCounter:
     this package.
     """
 
-    __slots__ = ("muldiv", "sqrt")
-
-    def __init__(self):
-        self.muldiv = 0
-        self.sqrt = 0
+    muldiv: int = field(default=0, init=False)
+    sqrt: int = field(default=0, init=False)
 
     def add_muldiv(self, count: int) -> None:
         if count < 0:
@@ -96,28 +110,23 @@ class OpCounter:
             raise InvalidArgument("cannot add a negative operation count")
         self.sqrt += int(count)
 
-    def __repr__(self):
-        return f"OpCounter(muldiv={self.muldiv}, sqrt={self.sqrt})"
 
-
+@dataclass(frozen=True, slots=True)
 class RequiredSet:
     """Sorted set of 1-based indices of the solution components to keep."""
 
-    __slots__ = ("indices",)
+    indices: tuple[int, ...]
 
-    def __init__(self, indices):
+    def __post_init__(self):
         try:
-            idx = sorted({int(i) for i in indices})
-        except (TypeError, ValueError) as exc:
+            idx = sorted({as_integer(i, "a required index") for i in self.indices})
+        except TypeError as exc:
             raise InvalidArgument(f"required indices must be integers: {exc}") from None
         if not idx:
             raise InvalidArgument("at least one index must be required")
         if idx[0] < 1:
             raise IndexOutOfRange(f"required index {idx[0]} is below 1")
         object.__setattr__(self, "indices", tuple(idx))
-
-    def __setattr__(self, name, value):  # immutable after construction
-        raise AttributeError("RequiredSet is immutable")
 
     @classmethod
     def full(cls, n: int) -> "RequiredSet":
@@ -148,15 +157,6 @@ class RequiredSet:
 
     def __contains__(self, i):
         return i in self.indices
-
-    def __eq__(self, other):
-        return isinstance(other, RequiredSet) and self.indices == other.indices
-
-    def __hash__(self):
-        return hash(self.indices)
-
-    def __repr__(self):
-        return f"RequiredSet({list(self.indices)})"
 
 
 def frobenius_norm(m) -> float:
@@ -189,7 +189,7 @@ def norm2_estimate(m) -> float:
         if zn == 0.0:
             return est
         v = z / zn
-        if abs(est - prev) <= 1e-12 * max(est, 1.0):
+        if abs(est - prev) <= 1e-12 * est:
             break
         prev = est
     return est

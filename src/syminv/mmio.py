@@ -40,7 +40,7 @@ from itertools import islice
 import numpy as np
 
 from .errors import InvalidArgument
-from .matcore import _validated, as_matrix
+from .matcore import _validated
 
 # Rows formatted or parsed per orjson call: enough to amortise the call, and
 # a fixed number of rows of text in flight rather than the whole matrix's.
@@ -128,7 +128,7 @@ def _read_csv_loadtxt(path) -> np.ndarray:
                               comments=None, quotechar='"', ndmin=2)
         except ValueError as exc:
             raise InvalidArgument(f"{path}: {exc}") from None
-    return as_matrix(rows)
+    return _validated(rows)
 
 
 def write_csv_matrix(path, a) -> None:
@@ -144,13 +144,13 @@ def read_mm_matrix(path) -> np.ndarray:
     m = scipy.io.mmread(path)
     if scipy.sparse.issparse(m):
         m = m.toarray()
-    return as_matrix(m)
+    return _validated(m)
 
 
 def write_mm_matrix(path, a) -> None:
     import scipy.io
 
-    a = as_matrix(a)
+    a = _validated(a)
     scipy.io.mmwrite(path, a, precision=17)
 
 

@@ -347,8 +347,8 @@ def row_identities_check(a, f_final, required=None) -> bool:
 
     Each identity must hold within 1e-10 * (1 + frobenius_norm(a)).
     """
-    a = as_matrix(a)
-    f = as_matrix(f_final)
+    a = _validated(a)
+    f = _validated(f_final)
     if f.shape != a.shape:
         raise DimensionMismatch(f"operand shapes differ: {a.shape} vs {f.shape}")
     n = a.shape[0]

@@ -50,7 +50,6 @@ from .matcore import (
     SymmetryCheck,
     _checked_symmetric,
     _validated,
-    as_matrix,
     frobenius_norm,
     mirror_lower,
 )
@@ -94,9 +93,8 @@ def invert_v1_parts(a, counter=None):
     The completed F is exactly lower triangular; the inverse equals
     F + (F - diag(F))^T.
     """
-    cnt = counter if counter is not None else OpCounter()
-    stage1 = lower_stage(a, cnt)
-    final = complete_lower(stage1, cnt)
+    stage1 = lower_stage(a, counter)
+    final = complete_lower(stage1, counter)
     return stage1, final, mirror_lower(final)
 
 
@@ -181,7 +179,7 @@ def lemma1_check(a, m) -> bool:
     1e-9 * (1 + frobenius_norm(block of a)); for symmetric input the
     F block must itself be symmetric within the same tolerance.
     """
-    a = as_matrix(a)
+    a = _validated(a)
     n = a.shape[0]
     if not 0 <= m < n:
         raise InvalidArgument(f"step index {m} out of range [0, {n - 1}]")
@@ -206,7 +204,7 @@ def lemma2_check(a, m) -> bool:
     outer(column m of F^{m+1}, row m of F^m), entrywise within
     1e-10 * (1 + |expected entry|).
     """
-    a = as_matrix(a)
+    a = _validated(a)
     n = a.shape[0]
     if not 0 <= m < n:
         raise InvalidArgument(f"step index {m} out of range [0, {n - 1}]")

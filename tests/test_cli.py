@@ -200,6 +200,10 @@ class TestCount:
         assert out.startswith("| method | n | muldiv | sqrt |")
         assert len(out.splitlines()) == 2 + 10
 
+    def test_empty_size_list_reported(self, capsys):
+        assert main(["count", "--sizes", ","]) == 1
+        assert "comma-separated list of matrix orders" in capsys.readouterr().err
+
     def test_sizes_required(self, capsys):
         with pytest.raises(SystemExit) as err:
             main(["count"])

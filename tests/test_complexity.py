@@ -86,6 +86,15 @@ class TestQTheor:
         with pytest.raises(InvalidArgument):
             q_theor("v2", 0)
 
+    @pytest.mark.parametrize("bad", [2.5, float("nan"), float("inf"), "5", None])
+    def test_non_integer_order_or_block_rejected(self, bad):
+        with pytest.raises(InvalidArgument):
+            q_theor("v2", bad)
+        with pytest.raises(InvalidArgument):
+            s_theor("cholesky", bad)
+        with pytest.raises(InvalidArgument):
+            q_theor("modgauss_p", 5, bad)
+
 
 class TestSTheor:
     def test_values(self):

@@ -9,6 +9,7 @@ import pytest
 from syminv import (
     DEFAULT_METHODS,
     FAMILY_KINDS,
+    METHOD_FUNCS,
     GenerationFailed,
     InvalidArgument,
     InversionReport,
@@ -19,6 +20,7 @@ from syminv import (
     emit_report,
     generate,
     ldl_factor,
+    modgauss,
     run_experiment,
     run_verification,
 )
@@ -36,6 +38,16 @@ class TestFamilies:
     def test_bad_order_rejected(self):
         with pytest.raises(InvalidArgument):
             MatrixFamily("diag_dominant", 0, 1)
+
+    @pytest.mark.parametrize("n, seed", [(2.5, 1), (float("nan"), 1), (float("inf"), 1),
+                                         ("4", 1), (4, 1.5), (4, float("nan")), (4, None)])
+    def test_non_integer_order_or_seed_rejected(self, n, seed):
+        with pytest.raises(InvalidArgument):
+            MatrixFamily("diag_dominant", n, seed)
+
+    def test_integral_floats_become_ints(self):
+        fam = MatrixFamily("diag_dominant", 4.0, np.int64(2))
+        assert (fam.n, fam.seed) == (4, 2) and type(fam.n) is type(fam.seed) is int
 
     def test_determinism(self):
         for kind in FAMILY_KINDS:
@@ -103,6 +115,15 @@ class TestRunExperiment:
             assert rep.residual_fro < 1e-10
             assert rep.dist2_vs_reference < 1e-10
             assert rep.elapsed_seconds > 0.0
+
+    def test_dist2_is_the_spectral_distance(self):
+        reports = [r for r in run_experiment(2, sizes=[100]) if r.status == "ok"]
+        assert len(reports) == len(DEFAULT_METHODS)
+        for rep in reports:
+            a = generate(rep.family)
+            exact = np.linalg.norm(METHOD_FUNCS[rep.method](a) - modgauss.invert(a), 2)
+            want = pytest.approx(exact, rel=1e-3, abs=0)
+            assert rep.dist2_vs_reference == want, rep.method
 
     def test_timing_experiment_on_non_dominant(self):
         reports = run_experiment(3, sizes=[10], methods=("v2", "ldl"), seed=7)

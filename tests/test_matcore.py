@@ -19,6 +19,7 @@ from syminv import (
     mirror_lower,
     norm2_estimate,
 )
+from syminv.matcore import as_integer
 
 
 class TestAsMatrix:
@@ -93,6 +94,14 @@ class TestOpCounter:
         c.add_muldiv(0)
         assert (c.muldiv, c.sqrt) == (5, 2)
 
+    def test_repr_and_no_arguments(self):
+        c = OpCounter()
+        c.add_muldiv(7)
+        c.add_sqrt()
+        assert repr(c) == "OpCounter(muldiv=7, sqrt=1)"
+        with pytest.raises(TypeError):
+            OpCounter(1)
+
     def test_rejects_negative(self):
         c = OpCounter()
         with pytest.raises(InvalidArgument):
@@ -141,6 +150,30 @@ class TestRequiredSet:
         with pytest.raises(AttributeError):
             r.indices = (2,)
 
+    def test_repr_shows_the_sorted_indices(self):
+        assert repr(RequiredSet([3, 1])) == "RequiredSet(indices=(1, 3))"
+
+    @pytest.mark.parametrize("bad", [[1.5], [1, float("nan")], [float("inf")], ["2"], 3])
+    def test_rejects_non_integer_indices(self, bad):
+        with pytest.raises(InvalidArgument):
+            RequiredSet(bad)
+
+    def test_integral_floats_are_indices(self):
+        assert RequiredSet([2.0, np.int64(1)]) == RequiredSet([1, 2])
+
+
+class TestAsInteger:
+    @pytest.mark.parametrize("good", [3, 3.0, np.int64(3), np.float64(3.0)])
+    def test_accepts_integral_numbers(self, good):
+        got = as_integer(good, "n")
+        assert got == 3 and type(got) is int
+
+    @pytest.mark.parametrize("bad", [2.5, float("nan"), float("inf"), -float("inf"),
+                                     "3", None, [3]])
+    def test_rejects_everything_else(self, bad):
+        with pytest.raises(InvalidArgument, match="n must be an integer"):
+            as_integer(bad, "n")
+
 
 def test_frobenius_norm():
     a = np.array([[3.0, 0.0], [4.0, 0.0]])
@@ -160,6 +193,17 @@ class TestNorm2Estimate:
         for n in (3, 5, 8):
             a = rng.uniform(-1, 1, (n, n))
             assert norm2_estimate(a) == pytest.approx(spectral_norm(a), rel=1e-8)
+
+    def test_rejects_non_square(self):
+        with pytest.raises(DimensionMismatch):
+            norm2_estimate(np.ones((2, 3)))
+
+    def test_converges_below_one(self):
+        # A norm far below 1 must still converge to 1e-12 relative, not
+        # stop once the change drops under 1e-12 absolute.
+        rng = np.random.default_rng(47)
+        a = rng.uniform(-1, 1, (60, 60)) * 1e-14
+        assert norm2_estimate(a) == pytest.approx(np.linalg.norm(a, 2), rel=1e-6, abs=0)
 
     def test_never_exceeds_frobenius(self):
         rng = np.random.default_rng(31)
@@ -186,6 +230,11 @@ def test_inverse_residual():
     a = np.diag([2.0, 4.0])
     assert inverse_residual(a, np.diag([0.5, 0.25])) == 0.0
     assert inverse_residual(a, np.diag([0.5, 0.5])) == pytest.approx(1.0)
+
+
+def test_inverse_residual_rejects_shape_mismatch():
+    with pytest.raises(DimensionMismatch):
+        inverse_residual(np.eye(2), np.eye(3))
 
 
 @pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 127, 128, 129, 300])

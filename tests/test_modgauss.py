@@ -5,6 +5,7 @@ import pytest
 
 from oracles import inverse_bruteforce
 from syminv import (
+    DimensionMismatch,
     EliminationState,
     InvalidArgument,
     OpCounter,
@@ -338,6 +339,10 @@ class TestRowIdentities:
         f = invert(a)
         f[2, 1] += 1e-3
         assert not row_identities_check(a, f)
+
+    def test_shapes_must_agree(self):
+        with pytest.raises(DimensionMismatch):
+            row_identities_check(np.eye(3), np.eye(4))
 
 
 def test_zero_minor_family_end_to_end():

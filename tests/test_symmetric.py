@@ -1,5 +1,7 @@
 """Square-root-free symmetric inversion variants and their structure."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -22,6 +24,7 @@ from syminv import (
     lemma1_check,
     lemma2_check,
     lower_stage,
+    modgauss,
     q_theor,
 )
 from syminv.errors import InvalidArgument
@@ -211,6 +214,28 @@ class TestLemmaChecks:
         # for symmetric input the leading F block must itself be symmetric
         a = _spd(np.random.default_rng(139), 5)
         assert lemma1_check(a, 3)
+
+    @staticmethod
+    def _elimination_yields(monkeypatch, f):
+        """Make every elimination step return F = f."""
+        def step(state, counter=None, allow_swaps=True):
+            return dataclasses.replace(state, f=f, step=state.step + 1)
+        monkeypatch.setattr(modgauss, "eliminate_step", step)
+
+    def test_lemma1_rejects_a_block_that_is_no_inverse(self, monkeypatch):
+        self._elimination_yields(monkeypatch, 2.0 * np.eye(3))
+        assert not lemma1_check(np.eye(3), 1)
+
+    def test_lemma1_rejects_an_asymmetric_block_for_symmetric_input(self, monkeypatch):
+        # F's leading 2-block inverts diag(1, 1e-12) to within 1e-12, but is not
+        # symmetric: only symmetric input demands that it be.
+        self._elimination_yields(monkeypatch, np.array([[1.0, 1.0, 0.0],
+                                                        [0.0, 1e12, 0.0],
+                                                        [0.0, 0.0, 1.0]]))
+        a = np.array([[1.0, 0.0, 0.0], [0.0, 1e-12, 1.0], [0.0, 2.0, 1.0]])
+        assert lemma1_check(a, 1)
+        a[2, 1] = 1.0
+        assert not lemma1_check(a, 1)
 
     def test_step_index_validated(self):
         a = np.eye(3)
