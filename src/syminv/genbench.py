@@ -401,8 +401,8 @@ def _verify_structure(seed):
                   "factor form matches the sweep to 1e-13")
 
 
-def _verify_sqrt_freedom(seed):
-    n = 17
+def _verify_sqrt_freedom(max_n, seed):
+    n = max_n + 1  # count-formulas checks every order up to max_n
     a = generate(MatrixFamily("diag_dominant", n, seed + n))
     for method in DEFAULT_METHODS + ("gauss",):
         cnt = OpCounter()
@@ -529,7 +529,7 @@ def run_verification(max_n=40, seed=DEFAULT_SEED) -> list[tuple[str, bool, str]]
         ("method-agreement", lambda: _verify_agreement(max_n, seed)),
         ("lemma-checks", lambda: _verify_lemmas(seed)),
         ("structure", lambda: _verify_structure(seed)),
-        ("sqrt-freedom", lambda: _verify_sqrt_freedom(seed)),
+        ("sqrt-freedom", lambda: _verify_sqrt_freedom(max_n, seed)),
         ("zero-minor-handling", lambda: _verify_zero_minor(seed)),
         ("indefinite-applicability", lambda: _verify_indefinite(seed)),
         ("residual-bounds", lambda: _verify_residuals(seed)),

@@ -171,11 +171,10 @@ def norm2_estimate(m) -> float:
     Starts from a fixed deterministic vector and runs at most 200
     iterations, stopping early once the estimate is stable to 1e-12
     (relative).  The estimate converges from below, so it never exceeds
-    ``frobenius_norm(m)`` beyond rounding.
+    ``frobenius_norm(m)`` beyond rounding.  *m* is checked as by
+    ``as_matrix``.
     """
-    a = np.asarray(m, dtype=np.float64)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DimensionMismatch(f"expected a square matrix, got shape {a.shape}")
+    a = _validated(m)
     n = a.shape[0]
     v = np.linspace(1.0, 2.0, n)
     v /= math.sqrt(float(v @ v))
@@ -218,9 +217,12 @@ def mirror_lower(f) -> np.ndarray:
 
 
 def inverse_residual(a, inv) -> float:
-    """Frobenius norm of ``a @ inv - I`` (not an instrumented operation)."""
-    a = np.asarray(a, dtype=np.float64)
-    inv = np.asarray(inv, dtype=np.float64)
+    """Frobenius norm of ``a @ inv - I`` (not an instrumented operation).
+
+    Both operands are checked as by ``as_matrix`` and must agree in shape.
+    """
+    a = _validated(a)
+    inv = _validated(inv)
     if a.shape != inv.shape:
         raise DimensionMismatch(f"operand shapes differ: {a.shape} vs {inv.shape}")
     return frobenius_norm(a @ inv - np.eye(a.shape[0]))

@@ -77,16 +77,19 @@ from .matcore import (
 
 
 def default_pivot_tol(a) -> float:
-    """Near-zero pivot threshold, scaled by the largest entry magnitude.
+    """Near-zero pivot threshold, relative to the largest entry magnitude.
 
     The one threshold every kernel calls: a pivot j with
-    |pivot j| <= 1e-12 * (1 + max|a_ij|) is rejected (Cholesky compares
-    the quantity under its square root against the square of this).
-    max|a_ij| is taken as max(max a, -min a), two reductions with no n^2
-    temporary.
+    |pivot j| <= 1e-12 * max|a_ij| is rejected (Cholesky compares the
+    quantity under its square root against the square of this).  It has
+    no absolute part, so scaling a by a power of two scales every pivot
+    and the threshold alike and leaves each decision unchanged; a zero
+    matrix rejects its first pivot.  max|a_ij| is taken as
+    |max(max a, -min a)|, two reductions with no n^2 temporary; the
+    outer abs turns the -0.0 that max(-0.0, 0.0) returns into 0.0.
     """
     a = np.asarray(a, dtype=np.float64)
-    return 1e-12 * (1.0 + max(float(a.max()), -float(a.min())))
+    return 1e-12 * abs(max(float(a.max()), -float(a.min())))
 
 
 def _coerce_required(required, n: int) -> RequiredSet:
@@ -148,12 +151,9 @@ def _run_step(a, f, k, rows, pivot_tol, allow_swaps, swaps) -> None:
     if abs(g) <= pivot_tol:
         if not allow_swaps:
             raise ZeroPivot(k)
-        jrel = -1
-        if kpos + 1 < m:
-            jrel = kpos + 1 + int(np.argmax(np.abs(d[kpos + 1:])))
-            if abs(float(d[jrel])) <= pivot_tol:
-                jrel = -1
-        if jrel < 0:
+        # The rejected pivot wins only when no candidate clears the threshold.
+        jrel = kpos + int(np.argmax(np.abs(d[kpos:])))
+        if abs(float(d[jrel])) <= pivot_tol:
             raise SingularMatrix(
                 f"no usable pivot at elimination step {k}: matrix is singular"
             )

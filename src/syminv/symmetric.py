@@ -136,13 +136,14 @@ def invert_v2(a, counter=None) -> np.ndarray:
 
 
 def invert_v2_reference(a, counter=None) -> np.ndarray:
-    """Step-by-step single sweep, column by column.
+    """Step-by-step single sweep.
 
     Runs the sweep one pivot at a time, writing the normalized pivot
     values into column k first and mirroring them into row k at the end
-    of the step, and tallies every step as it runs.  Kept as the
-    cross-check of invert_v2: it agrees with invert_v2 up to rounding,
-    and its count is the only measured v2 count.
+    of the step, and tallies every step as it runs: the multipliers
+    before the pivot test, the rest of the step once it passes.  Kept
+    as the cross-check of invert_v2: it agrees with invert_v2 up to
+    rounding, and its count is the only measured v2 count.
     """
     a = _checked_symmetric(a)
     cnt = counter if counter is not None else OpCounter()
@@ -157,18 +158,30 @@ def invert_v2_reference(a, counter=None) -> np.ndarray:
         if abs(g) <= tol:
             raise ZeroPivot(k)
         r = 1.0 / g
-        cnt.add_muldiv(1)
         f[:k, k] = old * r
         f[k, k] = r
-        cnt.add_muldiv(k)
         f[k + 1:, k] = d[1:] * (-r)
-        cnt.add_muldiv(n - k - 1)
-        for c in range(k):
-            f[c:k, c] += f[c:k, k] * old[c]
-            f[k + 1:, c] += f[k + 1:, k] * old[c]
-            cnt.add_muldiv((k - c) + (n - k - 1))
+        # The rank-one corrections: column c of the leading k-block's
+        # lower triangle and of the rows below k takes column k times
+        # old[c] (the block's upper part, never read again, takes +0.0).
+        f[:k, :k] += np.tril(np.outer(f[:k, k], old))
+        f[k + 1:, :k] += np.outer(f[k + 1:, k], old)
+        # The reciprocal, the k + (n - k - 1) scalings, then the updates.
+        cnt.add_muldiv(1 + k + (n - k - 1) + k * (k + 1) // 2 + k * (n - k - 1))
         f[k, :k] = f[:k, k]
     return mirror_lower(f)
+
+
+def _steps_around(a, m):
+    """Validated a and the elimination states before and after step m (no swaps)."""
+    a = _validated(a)
+    n = a.shape[0]
+    if not 0 <= m < n:
+        raise InvalidArgument(f"step index {m} out of range [0, {n - 1}]")
+    state = modgauss.EliminationState.start(a)
+    for _ in range(m):
+        state = modgauss.eliminate_step(state, allow_swaps=False)
+    return a, state, modgauss.eliminate_step(state, allow_swaps=False)
 
 
 def lemma1_check(a, m) -> bool:
@@ -179,15 +192,9 @@ def lemma1_check(a, m) -> bool:
     1e-9 * (1 + frobenius_norm(block of a)); for symmetric input the
     F block must itself be symmetric within the same tolerance.
     """
-    a = _validated(a)
-    n = a.shape[0]
-    if not 0 <= m < n:
-        raise InvalidArgument(f"step index {m} out of range [0, {n - 1}]")
-    state = modgauss.EliminationState.start(a)
-    for _ in range(m + 1):
-        state = modgauss.eliminate_step(state, allow_swaps=False)
+    a, _, after = _steps_around(a, m)
     size = m + 1
-    block = state.f[:size, :size]
+    block = after.f[:size, :size]
     sub = a[:size, :size]
     tol = 1e-9 * (1.0 + frobenius_norm(sub))
     if frobenius_norm(block @ sub - np.eye(size)) > tol:
@@ -204,14 +211,7 @@ def lemma2_check(a, m) -> bool:
     outer(column m of F^{m+1}, row m of F^m), entrywise within
     1e-10 * (1 + |expected entry|).
     """
-    a = _validated(a)
-    n = a.shape[0]
-    if not 0 <= m < n:
-        raise InvalidArgument(f"step index {m} out of range [0, {n - 1}]")
-    state = modgauss.EliminationState.start(a)
-    for _ in range(m):
-        state = modgauss.eliminate_step(state, allow_swaps=False)
-    after = modgauss.eliminate_step(state, allow_swaps=False)
+    _, state, after = _steps_around(a, m)
     zeroed = state.f.copy()
     zeroed[m, :] = 0.0
     delta = after.f - zeroed

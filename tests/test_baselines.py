@@ -265,7 +265,7 @@ class TestCholeskyOnLdlKernel:
 
     @pytest.mark.parametrize("j", [0, 64, 130])
     def test_pivot_between_tol_squared_and_tol(self, j):
-        # tol = 1e-12 (1 + max|a|) and tol^2 < 1e-15 <= tol: Cholesky
+        # tol = 1e-12 max|a| and tol^2 < 1e-15 <= tol: Cholesky
         # accepts the pivot, LDL^T rejects it.
         a = _with_pivot(_spd(np.random.default_rng(750 + j), 200), j, 1e-15)
         l = cholesky_factor(a).l

@@ -237,6 +237,22 @@ def test_inverse_residual_rejects_shape_mismatch():
         inverse_residual(np.eye(2), np.eye(3))
 
 
+def test_inverse_residual_rejects_non_square_operands():
+    with pytest.raises(DimensionMismatch):
+        inverse_residual(np.ones((2, 3)), np.ones((2, 3)))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_norm_helpers_reject_non_finite_entries(bad):
+    m = np.array([[bad, 1.0], [1.0, 1.0]])
+    with pytest.raises(InvalidArgument):
+        norm2_estimate(m)
+    with pytest.raises(InvalidArgument):
+        inverse_residual(m, np.eye(2))
+    with pytest.raises(InvalidArgument):
+        inverse_residual(np.eye(2), m)
+
+
 @pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 127, 128, 129, 300])
 def test_mirror_lower_bitwise_sum_formula(n):
     rng = np.random.default_rng(43 + n)

@@ -1,13 +1,17 @@
 """Modified Gaussian elimination: inversion, partial solves, swaps, counts."""
 
+import functools
+
 import numpy as np
 import pytest
 
 from oracles import inverse_bruteforce
 from syminv import (
+    METHOD_FUNCS,
     DimensionMismatch,
     EliminationState,
     InvalidArgument,
+    LinAlgError,
     OpCounter,
     RequiredSet,
     SingularMatrix,
@@ -16,6 +20,7 @@ from syminv import (
     eliminate_step,
     generate,
     invert,
+    invert_v2_reference,
     MatrixFamily,
     q_theor,
     lower_stage,
@@ -364,8 +369,46 @@ def test_zero_minor_family_end_to_end():
     np.array([[-3.0, 2.0], [2.0, 1.0]]),
 ])
 def test_default_pivot_tol_is_bitwise_the_abs_max_rule(a):
-    want = 1e-12 * (1.0 + np.abs(a).max())
+    want = 1e-12 * np.abs(a).max()
     assert np.float64(default_pivot_tol(a)).tobytes() == np.float64(want).tobytes()
+
+
+_SCALED_FUNCS = dict(METHOD_FUNCS, invert_v2_reference=invert_v2_reference,
+                     lower_stage=lower_stage)
+
+
+def _outcome(func, a, scale=1.0):
+    """func(a) times scale as bytes, or the error (its text names the step); then the counts."""
+    c = OpCounter()
+    try:
+        out = (func(a, c) * scale).tobytes()
+    except LinAlgError as exc:
+        out = (type(exc).__name__, str(exc))
+    return out, c.muldiv, c.sqrt
+
+
+@functools.cache
+def _unscaled(family, n):
+    a = generate(MatrixFamily(family, n, 3))
+    return a, {name: _outcome(func, a) for name, func in _SCALED_FUNCS.items()}
+
+
+@pytest.mark.parametrize("k", range(-40, 41, 2))
+@pytest.mark.parametrize("family", ["diag_dominant", "non_dominant", "zero_leading_minor"])
+def test_power_of_two_scaling_keeps_every_pivot_decision(family, k):
+    # The inverse of 2^k A is 2^-k A^-1 bitwise, with the same counts,
+    # or the same error at the same step.
+    for n in (5, 65):
+        a, want = _unscaled(family, n)
+        for name, func in _SCALED_FUNCS.items():
+            assert _outcome(func, a * 2.0 ** k, 2.0 ** k) == want[name], (name, n)
+
+
+@pytest.mark.parametrize("scale", [1e-13, 1e-20])
+@pytest.mark.parametrize("method", sorted(METHOD_FUNCS))
+def test_tiny_scaled_identity_inverts(method, scale):
+    x = METHOD_FUNCS[method](scale * np.eye(4))
+    np.testing.assert_allclose(x, np.eye(4) / scale, rtol=1e-15, atol=0)
 
 
 def _symmetric_dominant(rng, n):

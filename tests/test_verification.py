@@ -55,6 +55,18 @@ def _without_sqrt(func):
     return run
 
 
+def _sqrt_at_order(n):
+    """One extra square root, counted only at order n."""
+    def wrap(func):
+        def run(a, counter=None):
+            out = func(a, counter)
+            if len(a) == n and counter is not None:
+                counter.add_sqrt(1)
+            return out
+        return run
+    return wrap
+
+
 def _scaled(factor):
     def wrap(func):
         return lambda a, counter=None: func(a, counter) * factor
@@ -165,6 +177,9 @@ CASES = [
     ("km-counts-no-sqrt", {"count-formulas": "km sqrt mismatch",
                           "sqrt-freedom": "km evaluated 0 square roots"},
      lambda mp: _method(mp, "km", _without_sqrt)),
+    # count-formulas stops at --max-n 3; sqrt-freedom runs at order 4.
+    ("ldl-sqrt-beyond-max-n", {"sqrt-freedom": "ldl evaluated 1 square roots"},
+     lambda mp: _method(mp, "ldl", _sqrt_at_order(4))),
     ("stage1-extra-muldiv", {"count-formulas": "stage-1 muldiv mismatch"},
      _stage_miscounted("lower_stage")),
     ("stage2-extra-muldiv", {"count-formulas": "stage-2 muldiv mismatch"},
