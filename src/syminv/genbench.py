@@ -15,11 +15,14 @@ Three deterministic matrix families drive the experiments:
   nonsingular but with a zero leading 1x1 minor.
 
 Experiment 1 validates operation counters against the closed-form
-formulas; experiments 2 and 3 measure wall time (median of five runs
-after a warm-up, counting disabled) and accuracy against a reference
-inverse from the row-swapping elimination, on dominant and non-dominant
-families respectively.  Methods that reject an input (e.g. Cholesky on
-an indefinite matrix) are reported as inapplicable instead of aborting
+formulas; experiments 2 and 3 measure wall time and accuracy against a
+reference inverse from the row-swapping elimination, on dominant and
+non-dominant families respectively.  Every experiment times the methods
+of one order together (``time_methods``: one warm-up call each, then
+five rounds that call every method once, counting disabled), so a
+cell's time is the median of five calls interleaved with the other
+methods'.  Methods that reject an input (e.g. Cholesky on an indefinite
+matrix) are reported as inapplicable, and untimed, instead of aborting
 the run.
 """
 
@@ -29,7 +32,7 @@ import csv
 import io
 import statistics
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -168,24 +171,31 @@ def _method_func(name):
         ) from None
 
 
-def time_method(func, a) -> float:
-    """Median wall time of five uncounted invocations after one warm-up."""
+def _call_seconds(func, a) -> float:
+    t0 = time.perf_counter()
     func(a)
-    times = []
-    for _ in range(5):
-        t0 = time.perf_counter()
-        func(a)
-        times.append(time.perf_counter() - t0)
-    return statistics.median(times)
+    return time.perf_counter() - t0
 
 
-def _run_cell(exp_id, method, family, a, reference) -> InversionReport:
+def time_methods(funcs, a) -> list[float]:
+    """Median wall time of five uncounted calls of each function on *a*.
+
+    Runs six rounds that call every function once, in the given order: a
+    warm-up round, then five timed ones, so that a burst of load lands
+    on all of the functions rather than on one.  Returns one median per
+    function.
+    """
+    rounds = [[_call_seconds(func, a) for func in funcs] for _ in range(6)]
+    return [statistics.median(spent) for spent in zip(*rounds[1:])]
+
+
+def _run_cell(method, family, a, reference) -> InversionReport:
+    """Count and check one method on *a*; the cell's time is left to the caller."""
     func = _method_func(method)
     formula = _FORMULA_NAME.get(method)
     q_t = complexity.q_theor(formula, family.n) if formula else None
     s_t = complexity.s_theor(formula, family.n) if formula else None
     counter = OpCounter()
-    t0 = time.perf_counter()
     try:
         inv = func(a, counter)
     except LinAlgError as exc:
@@ -195,15 +205,12 @@ def _run_cell(exp_id, method, family, a, reference) -> InversionReport:
             dist2_vs_reference=None, elapsed_seconds=None,
             status=f"inapplicable:{type(exc).__name__}",
         )
-    elapsed = time.perf_counter() - t0
-    if exp_id in (2, 3):
-        elapsed = time_method(func, a)
     return InversionReport(
         method=method, family=family, q_theor=q_t, q_pract=counter.muldiv,
         s_theor=s_t, s_pract=counter.sqrt,
         residual_fro=inverse_residual(a, inv),
         dist2_vs_reference=norm2_estimate(inv - reference),
-        elapsed_seconds=elapsed,
+        elapsed_seconds=None,
     )
 
 
@@ -212,9 +219,10 @@ def run_experiment(exp_id, sizes=None, methods=None, seed=DEFAULT_SEED) -> list[
 
     Experiment 1 validates counters on diagonally dominant matrices;
     experiment 2 times the methods on the same family; experiment 3
-    times them on non-dominant matrices.  Every cell also records the
+    times them on non-dominant matrices.  Every cell records the
     residual of the computed inverse and its spectral distance to the
-    reference inverse from the row-swapping elimination.  Matrices are
+    reference inverse from the row-swapping elimination, and every
+    applicable cell its time from ``time_methods``.  Matrices are
     seeded with seed + n, so identical arguments reproduce identical
     counts and accuracy columns.
     """
@@ -233,8 +241,12 @@ def run_experiment(exp_id, sizes=None, methods=None, seed=DEFAULT_SEED) -> list[
         family = MatrixFamily(_EXPERIMENT_FAMILY[exp_id], int(n), seed + int(n))
         a = generate(family)
         reference = modgauss.invert(a)
-        for method in methods:
-            reports.append(_run_cell(exp_id, method, family, a, reference))
+        cells = [_run_cell(method, family, a, reference) for method in methods]
+        ok = [i for i, cell in enumerate(cells) if cell.status == "ok"]
+        seconds = time_methods([METHOD_FUNCS[cells[i].method] for i in ok], a)
+        for i, elapsed in zip(ok, seconds):
+            cells[i] = replace(cells[i], elapsed_seconds=elapsed)
+        reports += cells
     return reports
 
 

@@ -130,17 +130,19 @@ class RequiredSet:
 
     @classmethod
     def full(cls, n: int) -> "RequiredSet":
-        return cls(range(1, n + 1))
+        return cls(range(1, as_integer(n, "matrix order") + 1))
 
     @classmethod
     def trailing(cls, n: int, p: int) -> "RequiredSet":
         """The trailing block {n-p+1, ..., n}."""
+        n, p = as_integer(n, "matrix order"), as_integer(p, "trailing block size")
         if not 1 <= p <= n:
             raise InvalidArgument(f"trailing block size {p} must lie in [1, {n}]")
         return cls(range(n - p + 1, n + 1))
 
     def mask(self, n: int) -> np.ndarray:
         """0-based boolean mask of length *n*; raises if any index exceeds *n*."""
+        n = as_integer(n, "matrix order")
         if self.indices[-1] > n:
             raise IndexOutOfRange(
                 f"required index {self.indices[-1]} exceeds matrix order {n}"
@@ -201,9 +203,9 @@ def mirror_lower(f) -> np.ndarray:
     value plus 0.0, so a -0.0 comes out as 0.0.  Evaluated by 128-column
     blocks: each diagonal block by that formula, each block left of it
     plus 0.0 in one pass and copied up transposed, which keeps the
-    transposed reads in cache.
+    transposed reads in cache.  *f* is checked as by ``as_matrix``.
     """
-    f = np.asarray(f, dtype=np.float64)
+    f = _validated(f)
     n = f.shape[0]
     out = np.empty((n, n))
     for c in range(0, n, 128):

@@ -50,6 +50,7 @@ from .matcore import (
     SymmetryCheck,
     _checked_symmetric,
     _validated,
+    as_integer,
     frobenius_norm,
     mirror_lower,
 )
@@ -176,6 +177,7 @@ def _steps_around(a, m):
     """Validated a and the elimination states before and after step m (no swaps)."""
     a = _validated(a)
     n = a.shape[0]
+    m = as_integer(m, "step index")
     if not 0 <= m < n:
         raise InvalidArgument(f"step index {m} out of range [0, {n - 1}]")
     state = modgauss.EliminationState.start(a)
@@ -193,7 +195,7 @@ def lemma1_check(a, m) -> bool:
     F block must itself be symmetric within the same tolerance.
     """
     a, _, after = _steps_around(a, m)
-    size = m + 1
+    size = after.step
     block = after.f[:size, :size]
     sub = a[:size, :size]
     tol = 1e-9 * (1.0 + frobenius_norm(sub))
@@ -212,6 +214,7 @@ def lemma2_check(a, m) -> bool:
     1e-10 * (1 + |expected entry|).
     """
     _, state, after = _steps_around(a, m)
+    m = state.step
     zeroed = state.f.copy()
     zeroed[m, :] = 0.0
     delta = after.f - zeroed

@@ -8,6 +8,12 @@ row-by-row solves over whole rows, and eigenvalues by cyclic Jacobi
 rotations.
 They are exponential or cubic with large constants, so callers keep the
 orders small (n <= 12 for determinants, n <= 8 in bulk).
+
+The scalar transcriptions of the v2 sweep and of the row-profile
+elimination check operation counts by execution: every multiplication
+and division goes through one ``Tally``, one Python float at a time, and
+no numpy product is used, so a count is what the arithmetic did rather
+than a formula for it.
 """
 
 import math
@@ -151,3 +157,118 @@ def random_symmetric(rng, n, spread=1.0):
     """Dense symmetric matrix with uniform entries in [-spread, spread]."""
     m = rng.uniform(-spread, spread, size=(n, n))
     return np.tril(m) + np.tril(m, -1).T
+
+
+class Tally:
+    """Counts the multiplications and divisions made through it."""
+
+    def __init__(self):
+        self.muldiv = 0
+
+    def mul(self, x, y):
+        self.muldiv += 1
+        return x * y
+
+    def div(self, x, y):
+        self.muldiv += 1
+        return x / y
+
+
+class PivotRejected(ArithmeticError):
+    """A pivot at or below 1e-12 * max|a_ij| at elimination step *step*."""
+
+    def __init__(self, step):
+        super().__init__(f"pivot rejected at step {step}")
+        self.step = step
+
+
+def _scalar_rows(a):
+    rows = [[float(x) for x in row] for row in np.asarray(a, dtype=float)]
+    tol = 1e-12 * max(abs(x) for row in rows for x in row)
+    return rows, tol
+
+
+def _identity(n):
+    return [[1.0 if i == j else 0.0 for j in range(n)] for i in range(n)]
+
+
+def _dot(tally, xs, ys):
+    total = 0.0
+    for x, y in zip(xs, ys):
+        total += tally.mul(x, y)
+    return total
+
+
+def v2_sweep_scalar(a, tally):
+    """The single sweep, one scalar at a time; returns the mirrored inverse.
+
+    Step k: the multipliers d_i = f[i, :k] . a[k, :k] + a[k, i] for rows
+    i >= k, the pivot test, the reciprocal r of d_k, column k of f
+    (f[c, k] = f[k, c] r above, r on, -d_i r below), then the rank-one
+    corrections f[i, j] += f[i, k] f[k, j] (old row k) on the leading
+    block's lower triangle and on the rows below k, and row k mirrored
+    from column k.
+    """
+    a, tol = _scalar_rows(a)
+    n = len(a)
+    f = _identity(n)
+    for k in range(n):
+        old = f[k][:k]
+        d = [_dot(tally, f[i][:k], a[k][:k]) + a[k][i] for i in range(k, n)]
+        if abs(d[0]) <= tol:
+            raise PivotRejected(k)
+        r = tally.div(1.0, d[0])
+        for c in range(k):
+            f[c][k] = tally.mul(old[c], r)
+        f[k][k] = r
+        for i in range(k + 1, n):
+            f[i][k] = tally.mul(d[i - k], -r)
+        for i in range(n):
+            if i == k:
+                continue
+            for j in range(min(i + 1, k)):
+                f[i][j] += tally.mul(f[i][k], old[j])
+        for c in range(k):
+            f[k][c] = f[c][k]
+    return np.array([[f[max(i, j)][min(i, j)] for j in range(n)] for i in range(n)])
+
+
+def eliminate_scalar(a, required, tally, allow_swaps=True):
+    """The row-profile elimination, one scalar at a time; returns F.
+
+    *required* holds the 0-based rows to keep; row i takes step k while
+    i >= k or i is required.  A pivoted row has nonzeros in the pivoted
+    columns only, an unpivoted row also its identity entry, so the
+    multiplier of row i at step k is f[i, :k] . a[:k, k], plus a[i, k]
+    for an unpivoted row.  A rejected pivot swaps in the row from k on
+    with the largest multiplier: the working a's rows k and j and the
+    pivoted parts f[k, :k] and f[j, :k] change places, so every row keeps
+    its profile; F's columns are swapped back at the end.
+    """
+    a, tol = _scalar_rows(a)
+    n = len(a)
+    f = _identity(n)
+    swaps = []
+    for k in range(n):
+        rows = [i for i in range(n) if i >= k or i in required]
+        d = {i: _dot(tally, f[i][:k], [a[j][k] for j in range(k)])
+             + (a[i][k] if i >= k else 0.0) for i in rows}
+        if abs(d[k]) <= tol:
+            j = max(range(k, n), key=lambda i: (abs(d[i]), -i))
+            if not allow_swaps or abs(d[j]) <= tol:
+                raise PivotRejected(k)
+            a[k], a[j] = a[j], a[k]
+            f[k][:k], f[j][:k] = f[j][:k], f[k][:k]
+            d[k], d[j] = d[j], d[k]
+            swaps.append((k, j))
+        r = tally.div(1.0, d[k])
+        f[k][:k] = [tally.mul(x, r) for x in f[k][:k]]
+        f[k][k] = r
+        for i in rows:
+            if i != k:
+                for j in range(k + 1):
+                    f[i][j] -= tally.mul(d[i], f[k][j])
+    for k, j in reversed(swaps):
+        for row in f:
+            row[k], row[j] = row[j], row[k]
+    return np.array(f)

@@ -7,8 +7,6 @@ per criterion; a failing criterion shows pytest's FAILED line instead.
 
 import csv
 import io
-import statistics
-import time
 
 import numpy as np
 import pytest
@@ -39,6 +37,7 @@ from syminv import (
     s_theor,
     solve,
 )
+from syminv.genbench import time_methods
 
 TABLE = ("cholesky", "ldl", "km", "v1", "v2")
 
@@ -253,17 +252,8 @@ def test_criterion_11_accuracy_ordering(capsys):
 
 def test_criterion_12_speed_ordering(capsys):
     a = generate(MatrixFamily("diag_dominant", 1000, 1042))
-    funcs = (METHOD_FUNCS["v2"], METHOD_FUNCS["cholesky"])
-    times = ([], [])
-    for func in funcs:  # one warm-up call each
-        func(a)
-    # Alternate the timed calls so that a burst of load hits both methods.
-    for _ in range(5):
-        for func, spent in zip(funcs, times):
-            t0 = time.perf_counter()
-            func(a)
-            spent.append(time.perf_counter() - t0)
-    t_v2, t_chol = (statistics.median(spent) for spent in times)
+    # Alternating timed rounds, so that a burst of load hits both methods.
+    t_v2, t_chol = time_methods([METHOD_FUNCS["v2"], METHOD_FUNCS["cholesky"]], a)
     assert t_v2 < t_chol, (t_v2, t_chol)
     _announce(capsys, 12, f"single-sweep variant beats Cholesky-based "
               f"inversion at n=1000 ({t_v2 * 1e3:.0f} ms < {t_chol * 1e3:.0f} ms, "

@@ -3,7 +3,9 @@
 Arithmetic routines only compute.  Each blocked phase adds its per-step
 model in one call after its arithmetic succeeded, and stepwise paths
 add each step as it completes, so a call that raises leaves on the
-counter exactly what completed before the failure.
+counter exactly what completed before the failure.  The scalar
+transcriptions in ``oracles`` count by execution, and every modelled
+and measured count here must equal theirs.
 """
 
 import inspect
@@ -11,15 +13,19 @@ import inspect
 import numpy as np
 import pytest
 
+from oracles import PivotRejected, Tally, eliminate_scalar, v2_sweep_scalar
 from syminv import (
+    FAMILY_KINDS,
     MatrixFamily,
     NotPositiveDefinite,
     OpCounter,
     ZeroPivot,
     baselines,
+    frobenius_norm,
     generate,
     genbench,
     modgauss,
+    q_theor,
     symmetric,
 )
 
@@ -158,3 +164,87 @@ def test_one_step_formula_and_no_counter_in_the_arithmetic():
     for m in range(1, 9):
         for k in range(9):
             assert modgauss._step_cost(m, k) == m * k + 1 + k + (m - 1) * (k + 1)
+
+
+def _close(got, want):
+    assert frobenius_norm(got - want) <= 1e-10 * frobenius_norm(want)
+
+
+@pytest.mark.parametrize("kind", FAMILY_KINDS)
+@pytest.mark.parametrize("n", [2, 3, 5, 8, 12])
+class TestExecutionCounts:
+    """Each count equals the scalar transcription's count of its arithmetic."""
+
+    def test_v2_sweep(self, kind, n):
+        a = generate(MatrixFamily(kind, n, 3))
+        tally, stepwise, factored = Tally(), OpCounter(), OpCounter()
+        funcs = ((symmetric.invert_v2_reference, stepwise), (symmetric.invert_v2, factored))
+        if kind == "zero_leading_minor":  # every method rejects the pivot of step 0
+            with pytest.raises(PivotRejected, match="step 0"):
+                v2_sweep_scalar(a, tally)
+            for func, cnt in funcs:
+                with pytest.raises(ZeroPivot) as err:
+                    func(a, cnt)
+                assert err.value.step == 0
+            assert tally.muldiv == stepwise.muldiv == factored.muldiv == 0
+            return
+        want = v2_sweep_scalar(a, tally)
+        assert tally.muldiv == q_theor("v2", n)
+        for func, cnt in funcs:
+            _close(func(a, cnt), want)
+            assert cnt.muldiv == tally.muldiv
+
+    def test_full_elimination(self, kind, n):
+        a = generate(MatrixFamily(kind, n, 3))
+        tally, cnt = Tally(), OpCounter()
+        want = eliminate_scalar(a, set(range(n)), tally)
+        _close(modgauss.invert(a, cnt), want)
+        assert tally.muldiv == cnt.muldiv == n ** 3
+        if kind == "zero_leading_minor":  # that count includes one swap, at step 0
+            with pytest.raises(PivotRejected, match="step 0"):
+                eliminate_scalar(a, set(range(n)), Tally(), allow_swaps=False)
+
+    def test_lower_stage(self, kind, n):
+        a = generate(MatrixFamily(kind, n, 3))
+        tally, cnt = Tally(), OpCounter()
+        if kind == "zero_leading_minor":
+            with pytest.raises(PivotRejected, match="step 0"):
+                eliminate_scalar(a, {n - 1}, tally, allow_swaps=False)
+            with pytest.raises(ZeroPivot) as err:
+                symmetric.lower_stage(a, cnt)
+            assert err.value.step == 0
+            assert tally.muldiv == cnt.muldiv == 0
+            return
+        want = eliminate_scalar(a, {n - 1}, tally, allow_swaps=False)
+        _close(symmetric.lower_stage(a, cnt), want)
+        assert tally.muldiv == cnt.muldiv == q_theor("v1_stage1", n)
+
+    def test_trailing_solve(self, kind, n):
+        a = generate(MatrixFamily(kind, n, 3))
+        b = np.linspace(1.0, 2.0, n)
+        for p in range(1, n + 1):
+            tally, cnt = Tally(), OpCounter()
+            f = eliminate_scalar(a, set(range(n - p, n)), tally)
+            got = modgauss.solve(a, b, range(n - p + 1, n + 1), cnt)
+            assert tally.muldiv == cnt.muldiv - n * p == q_theor("modgauss_p", n, p)
+            assert list(got) == list(range(n - p + 1, n + 1))
+            _close(np.array(list(got.values())), f[n - p:] @ b)
+
+
+def test_v2_sweep_failing_mid_run_counts_its_multipliers():
+    # The pivot of step 5 is rounding noise: the sweep has completed steps
+    # 0..4 and formed step 5's (n - 5) * 5 multiplier products, and the
+    # factor form, which tallies its model only on success, holds nothing.
+    n, k = 8, 5
+    a = generate(MatrixFamily("diag_dominant", n, 3))
+    a[k, k] = a[k, :k] @ np.linalg.solve(a[:k, :k], a[:k, k])
+    tally, stepwise, factored = Tally(), OpCounter(), OpCounter()
+    with pytest.raises(PivotRejected, match=f"step {k}"):
+        v2_sweep_scalar(a, tally)
+    for func, cnt in ((symmetric.invert_v2_reference, stepwise), (symmetric.invert_v2, factored)):
+        with pytest.raises(ZeroPivot) as err:
+            func(a, cnt)
+        assert err.value.step == k
+    # Steps 0..4 of an order-8 sweep cost 8 + 22 + 33 + 41 + 46.
+    assert tally.muldiv == stepwise.muldiv == 150 + (n - k) * k
+    assert factored.muldiv == 0

@@ -24,6 +24,7 @@ from syminv import (
     run_experiment,
     run_verification,
 )
+from syminv.genbench import time_methods
 
 
 class TestFamilies:
@@ -133,6 +134,18 @@ class TestRunExperiment:
             assert rep.status == "ok"
             assert rep.elapsed_seconds > 0.0
 
+    def test_methods_of_an_order_are_timed_in_alternating_rounds(self, monkeypatch):
+        calls = []
+        for name in ("v2", "ldl"):
+            def recording(a, counter=None, name=name, func=METHOD_FUNCS[name]):
+                calls.append(name)
+                return func(a, counter)
+            monkeypatch.setitem(METHOD_FUNCS, name, recording)
+        reports = run_experiment(2, sizes=[6], methods=("v2", "ldl"))
+        # The counted calls and the warm-up calls, then five timed rounds.
+        assert calls == ["v2", "ldl"] * 7
+        assert all(rep.elapsed_seconds > 0.0 for rep in reports)
+
     def test_inapplicable_method_reported_not_raised(self):
         # hunt a seed whose non-dominant draw is indefinite
         for seed in range(30):
@@ -165,6 +178,14 @@ class TestRunExperiment:
         assert robust.q_theor is None  # no closed form: path-dependent
         assert robust.q_pract == (343 + 49) // 2  # clean input: sweep cost
         assert robust.status == "ok"
+
+
+def test_time_methods_warms_up_then_alternates_rounds():
+    calls = []
+    funcs = [lambda a, name=name: calls.append(name) for name in ("f", "g", "h")]
+    medians = time_methods(funcs, np.eye(2))
+    assert len(medians) == 3 and all(t >= 0.0 for t in medians)
+    assert calls == ["f", "g", "h"] * 6  # one warm-up round, five timed
 
 
 class TestEmitReport:

@@ -161,6 +161,22 @@ class TestRequiredSet:
     def test_integral_floats_are_indices(self):
         assert RequiredSet([2.0, np.int64(1)]) == RequiredSet([1, 2])
 
+    @pytest.mark.parametrize("make", [
+        lambda: RequiredSet.trailing(5, 1.5),
+        lambda: RequiredSet.trailing(5.5, 2),
+        lambda: RequiredSet.full(2.5),
+        lambda: RequiredSet.full("3"),
+        lambda: RequiredSet([1]).mask(2.5),
+    ], ids=["trailing-p", "trailing-n", "full", "full-str", "mask"])
+    def test_rejects_non_integer_orders(self, make):
+        with pytest.raises(InvalidArgument, match="must be an integer"):
+            make()
+
+    def test_integral_float_orders(self):
+        assert RequiredSet.trailing(5.0, 2) == RequiredSet.trailing(5, np.int64(2))
+        assert RequiredSet.full(np.float64(3)) == RequiredSet.full(3)
+        np.testing.assert_array_equal(RequiredSet([2]).mask(3.0), [False, True, False])
+
 
 class TestAsInteger:
     @pytest.mark.parametrize("good", [3, 3.0, np.int64(3), np.float64(3.0)])
@@ -213,6 +229,21 @@ class TestNorm2Estimate:
 
 
 class TestMirrorLower:
+    @pytest.mark.parametrize("shape", [(2, 3), (3, 2), (4,), (0, 0)],
+                             ids=["2x3", "3x2", "vector", "empty"])
+    def test_rejects_non_square(self, shape):
+        # A 2x3 input used to give a 2x2 result from its leading block.
+        with pytest.raises(DimensionMismatch):
+            mirror_lower(np.ones(shape))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", [(0, 1), (1, 0), (1, 1)], ids=["upper", "lower", "diag"])
+    def test_rejects_non_finite_entries(self, bad, where):
+        f = np.ones((2, 2))
+        f[where] = bad
+        with pytest.raises(InvalidArgument):
+            mirror_lower(f)
+
     def test_result_is_bitwise_symmetric(self):
         rng = np.random.default_rng(37)
         f = rng.uniform(-1, 1, (5, 5))

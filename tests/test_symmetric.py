@@ -244,6 +244,9 @@ class TestLemmaChecks:
                 checker(a, -1)
             with pytest.raises(InvalidArgument):
                 checker(a, 3)
+            with pytest.raises(InvalidArgument):
+                checker(a, 1.5)
+            assert checker(a, 1.0) and checker(a, np.int64(2))
 
 
 class TestRobustWrapper:
