@@ -11,6 +11,8 @@ formulas, deterministic benchmark matrix generators, and a CLI round out
 the library.
 """
 
+from types import ModuleType as _ModuleType
+
 from .baselines import (
     CholFactor,
     LdlFactor,
@@ -78,63 +80,7 @@ from .symmetric import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CholFactor",
-    "DEFAULT_METHODS",
-    "DEFAULT_SIZES",
-    "DimensionMismatch",
-    "EliminationState",
-    "FAMILY_KINDS",
-    "GenerationFailed",
-    "IndexOutOfRange",
-    "InvalidArgument",
-    "InversionReport",
-    "LdlFactor",
-    "LinAlgError",
-    "METHODS",
-    "METHOD_FUNCS",
-    "MatrixFamily",
-    "NotPositiveDefinite",
-    "NotSymmetric",
-    "OpCounter",
-    "RequiredSet",
-    "SingularMatrix",
-    "SymmetryCheck",
-    "TABLE_METHODS",
-    "ZeroPivot",
-    "as_matrix",
-    "as_vector",
-    "cholesky_factor",
-    "complete_lower",
-    "count_table",
-    "emit_report",
-    "eliminate",
-    "eliminate_step",
-    "frobenius_norm",
-    "generate",
-    "invert",
-    "invert_cholesky",
-    "invert_km",
-    "invert_ldl",
-    "invert_symmetric_robust",
-    "invert_v1",
-    "invert_v1_parts",
-    "invert_v2",
-    "invert_v2_reference",
-    "inverse_residual",
-    "ldl_factor",
-    "lemma1_check",
-    "lemma2_check",
-    "lower_stage",
-    "mirror_lower",
-    "norm2_estimate",
-    "q_theor",
-    "read_matrix",
-    "row_identities_check",
-    "run_experiment",
-    "run_verification",
-    "s_theor",
-    "solve",
-    "write_matrix",
-    "__version__",
-]
+# Every public name imported above is an export; modules are not.
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not isinstance(value, _ModuleType))
+__all__.append("__version__")

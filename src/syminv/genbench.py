@@ -318,10 +318,9 @@ def _verify_counts(max_n, seed):
     checked = 0
     for n in range(2, max_n + 1):
         a = generate(MatrixFamily("diag_dominant", n, seed + n))
-        for method in DEFAULT_METHODS + ("gauss",):
+        for method, formula in _FORMULA_NAME.items():
             cnt = OpCounter()
             METHOD_FUNCS[method](a, cnt)
-            formula = _FORMULA_NAME[method]
             if cnt.muldiv != complexity.q_theor(formula, n):
                 return False, f"{method} muldiv mismatch at n={n}: {cnt.muldiv}"
             if cnt.sqrt != complexity.s_theor(formula, n):
@@ -416,10 +415,10 @@ def _verify_structure(seed):
 def _verify_sqrt_freedom(max_n, seed):
     n = max_n + 1  # count-formulas checks every order up to max_n
     a = generate(MatrixFamily("diag_dominant", n, seed + n))
-    for method in DEFAULT_METHODS + ("gauss",):
+    for method, formula in _FORMULA_NAME.items():
         cnt = OpCounter()
         METHOD_FUNCS[method](a, cnt)
-        want = complexity.s_theor(_FORMULA_NAME[method], n)
+        want = complexity.s_theor(formula, n)
         if cnt.sqrt != want:
             return False, f"{method} evaluated {cnt.sqrt} square roots, expected {want}"
     return True, "square-root tallies are 0 (v1/v2/ldl/gauss) and n (cholesky/km)"

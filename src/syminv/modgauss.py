@@ -254,7 +254,9 @@ def eliminate(a, required=None, counter=None, allow_swaps=True) -> np.ndarray:
 
     With every index required (the default) the result is A^-1.  With a
     partial required set only the required rows of the result are rows of
-    A^-1; the other rows were frozen early to save operations.
+    A^-1; the other rows were frozen early to save operations.  Raises
+    InvalidArgument when a required row is not finite: every pivot
+    cleared the threshold, but the inverse overflows float64.
     """
     a = _validated(a)
     if allow_swaps:
@@ -268,6 +270,8 @@ def eliminate(a, required=None, counter=None, allow_swaps=True) -> np.ndarray:
     s = 0
     while s < n:
         s = _run_panel(a, f, s, mask, tol, cnt, allow_swaps, swaps)
+    if not np.isfinite(f).all(axis=1)[mask].all():
+        raise InvalidArgument("the inverse overflows float64")
     _to_caller(f, swaps)
     return f
 

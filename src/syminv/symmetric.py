@@ -141,9 +141,9 @@ def invert_v2_reference(a, counter=None) -> np.ndarray:
 
     Runs the sweep one pivot at a time, writing the normalized pivot
     values into column k first and mirroring them into row k at the end
-    of the step, and tallies every step as it runs: the multipliers
-    before the pivot test, the rest of the step once it passes.  Kept
-    as the cross-check of invert_v2: it agrees with invert_v2 up to
+    of the step, and tallies each step once it completes, so a rejected
+    pivot leaves none of its step's multipliers on the counter.  Kept as
+    the cross-check of invert_v2: it agrees with invert_v2 up to
     rounding, and its count is the only measured v2 count.
     """
     a = _checked_symmetric(a)
@@ -154,7 +154,6 @@ def invert_v2_reference(a, counter=None) -> np.ndarray:
     for k in range(n):
         old = f[k, :k].copy()
         d = f[k:, :k] @ a[k, :k] + a[k, k:]
-        cnt.add_muldiv((n - k) * k)
         g = float(d[0])
         if abs(g) <= tol:
             raise ZeroPivot(k)
@@ -167,9 +166,11 @@ def invert_v2_reference(a, counter=None) -> np.ndarray:
         # old[c] (the block's upper part, never read again, takes +0.0).
         f[:k, :k] += np.tril(np.outer(f[:k, k], old))
         f[k + 1:, :k] += np.outer(f[k + 1:, k], old)
-        # The reciprocal, the k + (n - k - 1) scalings, then the updates.
-        cnt.add_muldiv(1 + k + (n - k - 1) + k * (k + 1) // 2 + k * (n - k - 1))
         f[k, :k] = f[:k, k]
+        # The multipliers, the reciprocal, the k + (n - k - 1) scalings,
+        # then the updates.
+        cnt.add_muldiv((n - k) * k + 1 + k + (n - k - 1)
+                       + k * (k + 1) // 2 + k * (n - k - 1))
     return mirror_lower(f)
 
 

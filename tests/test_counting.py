@@ -231,13 +231,20 @@ class TestExecutionCounts:
             _close(np.array(list(got.values())), f[n - p:] @ b)
 
 
-def test_v2_sweep_failing_mid_run_counts_its_multipliers():
-    # The pivot of step 5 is rounding noise: the sweep has completed steps
-    # 0..4 and formed step 5's (n - 5) * 5 multiplier products, and the
-    # factor form, which tallies its model only on success, holds nothing.
+def _failing_at_step_5():
+    """diag_dominant of order 8 whose pivot of step 5 is rounding noise."""
     n, k = 8, 5
     a = generate(MatrixFamily("diag_dominant", n, 3))
     a[k, k] = a[k, :k] @ np.linalg.solve(a[:k, :k], a[:k, k])
+    return a, n, k
+
+
+def test_v2_sweep_failing_mid_run_counts_completed_steps():
+    # The oracle counts by execution, so it holds the (n - k) * k
+    # multiplier products that found the pivot of step 5 rejected; the
+    # sweep adds a step once it completes and holds steps 0..4 only, and
+    # the factor form, which tallies its model only on success, nothing.
+    a, n, k = _failing_at_step_5()
     tally, stepwise, factored = Tally(), OpCounter(), OpCounter()
     with pytest.raises(PivotRejected, match=f"step {k}"):
         v2_sweep_scalar(a, tally)
@@ -246,5 +253,24 @@ def test_v2_sweep_failing_mid_run_counts_its_multipliers():
             func(a, cnt)
         assert err.value.step == k
     # Steps 0..4 of an order-8 sweep cost 8 + 22 + 33 + 41 + 46.
-    assert tally.muldiv == stepwise.muldiv == 150 + (n - k) * k
+    assert tally.muldiv == 150 + (n - k) * k
+    assert stepwise.muldiv == 150
     assert factored.muldiv == 0
+
+
+def test_elimination_failing_mid_run_counts_completed_steps():
+    # The same rule for the trailing-1 elimination without swaps: the
+    # oracle holds step 5's 3 * 5 multiplier products, eliminate_step
+    # steps 0..4 only.
+    a, n, k = _failing_at_step_5()
+    tally, cnt = Tally(), OpCounter()
+    with pytest.raises(PivotRejected, match=f"step {k}"):
+        eliminate_scalar(a, {n - 1}, tally, allow_swaps=False)
+    state = modgauss.EliminationState.start(a, [n])
+    with pytest.raises(ZeroPivot) as err:
+        while True:
+            state = modgauss.eliminate_step(state, cnt, allow_swaps=False)
+    assert err.value.step == state.step == k
+    # Steps 0..4 update 8, 7, 6, 5 and 4 rows: 8 + 21 + 30 + 35 + 36.
+    assert tally.muldiv == 130 + 3 * k
+    assert cnt.muldiv == 130

@@ -404,6 +404,19 @@ def test_tiny_scaled_identity_inverts(method, scale):
     np.testing.assert_allclose(x, np.eye(4) / scale, rtol=1e-15, atol=0)
 
 
+_OVERFLOW_FUNCS = dict(_SCALED_FUNCS, solve=lambda a: solve(a, np.ones(len(a)), [len(a)]))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("n", [1, 4, 65])
+@pytest.mark.parametrize("name", sorted(_OVERFLOW_FUNCS))
+def test_overflowing_inverse_raises(name, n):
+    # Every pivot of 1e-310 I clears the scale-free threshold, but 1/1e-310
+    # overflows float64; numpy's overflow warnings are not the error.
+    with pytest.raises(InvalidArgument):
+        _OVERFLOW_FUNCS[name](1e-310 * np.eye(n))
+
+
 def _symmetric_dominant(rng, n):
     m = _dominant(rng, n)
     return np.tril(m) + np.tril(m, -1).T
