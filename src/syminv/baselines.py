@@ -24,7 +24,8 @@ the factor leaves the counter untouched.
 
 Every method here, like v1 and v2 in ``symmetric``, forms its inverse
 with the same two kernels: ``_lower_gram``, the lower triangle of
-M^T D^-1 M by 64-column blocks, then ``mirror_lower``.  The methods
+M^T D^-1 M by 64-column blocks, then ``mirror_lower``'s mirroring,
+after one check that the inverse did not overflow.  The methods
 differ only in their factor, their triangular inverse and their cost
 model.  The LDL^T factor and the unit-lower inverse of the LDL and
 Krishnamoorthy-Menon inversions run by 64-column blocks, each a matrix
@@ -44,7 +45,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NotPositiveDefinite, ZeroPivot
-from .matcore import _BLOCK, OpCounter, _checked_symmetric, mirror_lower
+from .matcore import _BLOCK, OpCounter, _checked_symmetric, _finite_inverse, _mirror
 from .modgauss import default_pivot_tol
 
 
@@ -79,11 +80,12 @@ def cholesky_factor(a, counter=None) -> CholFactor:
     """Factor a symmetric positive definite matrix as L L^T.
 
     Column j costs j multiplications for the diagonal, one square root,
-    and (n-1-j)(j+1) multiplications and divisions below it.  Raises
-    NotPositiveDefinite when the quantity under the square root is not
-    safely positive, having counted nothing.  Evaluated on the LDL^T
-    kernel, whose pivot d_j is that quantity: L = L~ diag(sqrt(d)), n
-    square roots.
+    and (n-1-j)(j+1) multiplications and divisions below it.  Evaluated
+    on the LDL^T kernel, whose pivot d_j is the quantity under the
+    square root: L = L~ diag(sqrt(d)), n square roots.  Raises
+    NotPositiveDefinite(j), having counted nothing, at the first
+    d_j <= ``default_pivot_tol(a)``, the threshold every method judges
+    its pivots against.
     """
     a = _checked_symmetric(a)
     n = a.shape[0]
@@ -126,7 +128,7 @@ def invert_cholesky(a, counter=None) -> np.ndarray:
         bi[i] = 1.0 / l[i, i]
         cnt.add_muldiv((i + 1) * (i + 2) // 2)
     cnt.add_muldiv(sum((i + 1) * (n - i) for i in range(n)))
-    return mirror_lower(_lower_gram(b, b))
+    return _mirror(_finite_inverse(_lower_gram(b, b)))
 
 
 def _unit_lower_inverse(l, blocks=()):
@@ -181,26 +183,24 @@ def _ldl_nopiv_blocked(a, cholesky=False):
     block only.  The rows below it are W = A21 M11^T (M11 the block's
     unit-lower inverse) and L21 = W / d, and the trailing matrix takes
     L21 W^T in its lower part only, one 64-column block at a time.
-    Raises ZeroPivot(j) when pivot j, the ratio of the leading (j+1)-
-    and j-minors, is within ``default_pivot_tol(a)`` of zero; with
-    *cholesky*, NotPositiveDefinite(j) when it is at most the square of
-    that tolerance instead.  Returns (strictly lower factor, diagonal
-    vector, the M11 of every panel but the last); the factor is *a*
-    itself, its diagonal and upper part zeroed panel by panel.
+    Pivot j, the ratio of the leading (j+1)- and j-minors, is judged
+    against the one threshold tol = ``default_pivot_tol(a)``: it raises
+    ZeroPivot(j) when |pivot j| <= tol, or with *cholesky*
+    NotPositiveDefinite(j) when pivot j <= tol, negatives included.
+    Returns (strictly lower factor, diagonal vector, the M11 of every
+    panel but the last); the factor is *a* itself, its diagonal and
+    upper part zeroed panel by panel.
     """
     n = a.shape[0]
     tol = default_pivot_tol(a)
-    if cholesky:
-        lo, hi, reject = -np.inf, tol * tol, NotPositiveDefinite
-    else:
-        lo, hi, reject = -tol, tol, ZeroPivot
+    lo, reject = (-np.inf, NotPositiveDefinite) if cholesky else (-tol, ZeroPivot)
     d = np.empty(n)
     blocks = []
     for s in range(0, n, _BLOCK):
         e = min(s + _BLOCK, n)
         for j in range(s, e):
             dj = float(a[j, j])
-            if lo <= dj <= hi:
+            if lo <= dj <= tol:
                 raise reject(j)
             d[j] = dj
             col = a[j + 1:e, j]
@@ -259,7 +259,7 @@ def invert_ldl(a, counter=None) -> np.ndarray:
     cnt.add_muldiv(sum(i * (i - 1) // 2 for i in range(n)))
     cnt.add_muldiv(n * (n + 1) // 2)
     cnt.add_muldiv(sum((n - 1 - i) * (i + 1) for i in range(n)))
-    return mirror_lower(_lower_gram(x, x / fac.d[:, None]))
+    return _mirror(_finite_inverse(_lower_gram(x, x / fac.d[:, None])))
 
 
 def invert_km(a, counter=None) -> np.ndarray:
@@ -279,4 +279,4 @@ def invert_km(a, counter=None) -> np.ndarray:
     r = _unit_lower_inverse(fac._unit, fac._blocks) / np.diag(fac.l)[:, None]
     cnt.add_muldiv(sum(1 + i * (i + 1) // 2 for i in range(n)))
     cnt.add_muldiv(sum((i + 1) * (n - 1 - i) for i in range(n)))
-    return mirror_lower(_lower_gram(r, r))
+    return _mirror(_finite_inverse(_lower_gram(r, r)))

@@ -157,9 +157,6 @@ class RequiredSet:
     def __iter__(self):
         return iter(self.indices)
 
-    def __contains__(self, i):
-        return i in self.indices
-
 
 def frobenius_norm(m) -> float:
     """Square root of the sum of squared entries."""
@@ -180,7 +177,6 @@ def norm2_estimate(m) -> float:
     n = a.shape[0]
     v = np.linspace(1.0, 2.0, n)
     v /= math.sqrt(float(v @ v))
-    est = 0.0
     prev = -1.0
     for _ in range(200):
         w = a @ v
@@ -205,7 +201,11 @@ def mirror_lower(f) -> np.ndarray:
     plus 0.0 in one pass and copied up transposed, which keeps the
     transposed reads in cache.  *f* is checked as by ``as_matrix``.
     """
-    f = _validated(f)
+    return _mirror(_validated(f))
+
+
+def _mirror(f) -> np.ndarray:
+    """``mirror_lower`` without the input check, for a matrix just formed."""
     n = f.shape[0]
     out = np.empty((n, n))
     for c in range(0, n, 128):
@@ -216,6 +216,18 @@ def mirror_lower(f) -> np.ndarray:
             np.add(f[c:e, :c], 0.0, out=out[c:e, :c])
             out[:c, c:e] = out[c:e, :c].T
     return out
+
+
+def _finite_inverse(f) -> np.ndarray:
+    """*f*, an inverse just formed; raises InvalidArgument unless it is finite.
+
+    Every pivot cleared the threshold, so a non-finite entry means the
+    inverse overflows float64.  Each method makes this one finiteness
+    pass over its result.
+    """
+    if not np.isfinite(f).all():
+        raise InvalidArgument("the inverse overflows float64")
+    return f
 
 
 def inverse_residual(a, inv) -> float:

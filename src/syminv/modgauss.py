@@ -69,6 +69,7 @@ from .matcore import (
     _BLOCK,
     OpCounter,
     RequiredSet,
+    _finite_inverse,
     _validated,
     as_matrix,
     as_vector,
@@ -79,14 +80,15 @@ from .matcore import (
 def default_pivot_tol(a) -> float:
     """Near-zero pivot threshold, relative to the largest entry magnitude.
 
-    The one threshold every kernel calls: a pivot j with
-    |pivot j| <= 1e-12 * max|a_ij| is rejected (Cholesky compares the
-    quantity under its square root against the square of this).  It has
-    no absolute part, so scaling a by a power of two scales every pivot
-    and the threshold alike and leaves each decision unchanged; a zero
-    matrix rejects its first pivot.  max|a_ij| is taken as
-    |max(max a, -min a)|, two reductions with no n^2 temporary; the
-    outer abs turns the -0.0 that max(-0.0, 0.0) returns into 0.0.
+    The one threshold every method judges its pivots against: a pivot j
+    with |pivot j| <= 1e-12 * max|a_ij| is rejected, and Cholesky, whose
+    pivot is the quantity under its square root, also rejects every
+    negative one.  It has no absolute part, so scaling a by a power of
+    two scales every pivot and the threshold alike and leaves each
+    decision unchanged; a zero matrix rejects its first pivot.
+    max|a_ij| is taken as |max(max a, -min a)|, two reductions with no
+    n^2 temporary; the outer abs turns the -0.0 that max(-0.0, 0.0)
+    returns into 0.0.
     """
     a = np.asarray(a, dtype=np.float64)
     return 1e-12 * abs(max(float(a.max()), -float(a.min())))
@@ -254,9 +256,10 @@ def eliminate(a, required=None, counter=None, allow_swaps=True) -> np.ndarray:
 
     With every index required (the default) the result is A^-1.  With a
     partial required set only the required rows of the result are rows of
-    A^-1; the other rows were frozen early to save operations.  Raises
-    InvalidArgument when a required row is not finite: every pivot
-    cleared the threshold, but the inverse overflows float64.
+    A^-1; the other rows were frozen early to save operations, and
+    ``symmetric.complete_lower`` reads them all.  Raises InvalidArgument
+    when any row is not finite: every pivot cleared the threshold, but
+    the inverse overflows float64.
     """
     a = _validated(a)
     if allow_swaps:
@@ -270,8 +273,7 @@ def eliminate(a, required=None, counter=None, allow_swaps=True) -> np.ndarray:
     s = 0
     while s < n:
         s = _run_panel(a, f, s, mask, tol, cnt, allow_swaps, swaps)
-    if not np.isfinite(f).all(axis=1)[mask].all():
-        raise InvalidArgument("the inverse overflows float64")
+    _finite_inverse(f)
     _to_caller(f, swaps)
     return f
 

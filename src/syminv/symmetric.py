@@ -49,10 +49,11 @@ from .matcore import (
     RequiredSet,
     SymmetryCheck,
     _checked_symmetric,
+    _finite_inverse,
+    _mirror,
     _validated,
     as_integer,
     frobenius_norm,
-    mirror_lower,
 )
 
 
@@ -96,7 +97,7 @@ def invert_v1_parts(a, counter=None):
     """
     stage1 = lower_stage(a, counter)
     final = complete_lower(stage1, counter)
-    return stage1, final, mirror_lower(final)
+    return stage1, final, _mirror(_finite_inverse(final))
 
 
 def invert_v1(a, counter=None) -> np.ndarray:
@@ -107,6 +108,16 @@ def invert_v1(a, counter=None) -> np.ndarray:
     numerically zero (no row swaps are attempted).
     """
     return invert_v1_parts(a, counter)[2]
+
+
+def _sweep_step_cost(n, k) -> int:
+    """Muldiv of step k of the order-n sweep.
+
+    The (n - k) k multiplier products, the reciprocal, the k + (n - k - 1)
+    scalings of column k, and the rank-one updates: (n - k - 1) k for the
+    rows below k and k (k + 1) / 2 for the leading block's lower triangle.
+    """
+    return n + (2 * (n - k) - 1) * k + k * (k + 1) // 2
 
 
 def invert_v2(a, counter=None) -> np.ndarray:
@@ -129,11 +140,8 @@ def invert_v2(a, counter=None) -> np.ndarray:
     n = a.shape[0]
     l_strict, d, blocks = _ldl_nopiv_blocked(a)
     m = _unit_lower_inverse(l_strict, blocks)
-    # Sweep step k: pivot-row products, the reciprocal, the row scaling,
-    # the column of coefficients, and the two rank-one updates.
-    cnt.add_muldiv(sum((n - k) * k + 1 + k + (n - k - 1)
-                       + (n - k - 1) * k + k * (k + 1) // 2 for k in range(n)))
-    return mirror_lower(_lower_gram(m, m / d[:, None]))
+    cnt.add_muldiv(sum(_sweep_step_cost(n, k) for k in range(n)))
+    return _mirror(_finite_inverse(_lower_gram(m, m / d[:, None])))
 
 
 def invert_v2_reference(a, counter=None) -> np.ndarray:
@@ -167,11 +175,8 @@ def invert_v2_reference(a, counter=None) -> np.ndarray:
         f[:k, :k] += np.tril(np.outer(f[:k, k], old))
         f[k + 1:, :k] += np.outer(f[k + 1:, k], old)
         f[k, :k] = f[:k, k]
-        # The multipliers, the reciprocal, the k + (n - k - 1) scalings,
-        # then the updates.
-        cnt.add_muldiv((n - k) * k + 1 + k + (n - k - 1)
-                       + k * (k + 1) // 2 + k * (n - k - 1))
-    return mirror_lower(f)
+        cnt.add_muldiv(_sweep_step_cost(n, k))
+    return _mirror(_finite_inverse(f))
 
 
 def _steps_around(a, m):
@@ -229,18 +234,21 @@ def invert_symmetric_robust(a, counter=None) -> np.ndarray:
 
     Tries the single-sweep variant first; if a leading minor is
     numerically zero, falls back to the row-swapping elimination (n^3,
-    since its swaps keep the row profile) and symmetrizes its result as
-    (R + R^T) / 2, which costs n^2 extra multiplications: n^3 + n^2 in
-    all.  invert_v2 counts nothing before it can raise ZeroPivot, so the
-    counter holds only the operations of the path that produced the
-    result.  The fallback runs only after invert_v2 has checked the
-    input's symmetry.
+    since its swaps keep the row profile) and symmetrizes its result R
+    as H + H^T with H = R / 2, which costs n^2 extra multiplications:
+    n^3 + n^2 in all.  Halving first keeps every entry of a finite R
+    finite, where (R + R^T) / 2 could overflow; it is exact for normal
+    entries, so the two agree bitwise there.  invert_v2 counts nothing
+    before it can raise ZeroPivot, so the counter holds only the
+    operations of the path that produced the result.  The fallback runs
+    only after invert_v2 has checked the input's symmetry.
     """
     cnt = counter if counter is not None else OpCounter()
     try:
         return invert_v2(a, cnt)
     except ZeroPivot:
         pass
-    raw = modgauss.invert(a, cnt, allow_swaps=True)
+    raw = modgauss.invert(a, cnt)
     cnt.add_muldiv(raw.shape[0] ** 2)
-    return (raw + raw.T) * 0.5
+    h = raw * 0.5
+    return h + h.T

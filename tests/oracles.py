@@ -9,11 +9,11 @@ rotations.
 They are exponential or cubic with large constants, so callers keep the
 orders small (n <= 12 for determinants, n <= 8 in bulk).
 
-The scalar transcriptions of the v2 sweep and of the row-profile
-elimination check operation counts by execution: every multiplication
-and division goes through one ``Tally``, one Python float at a time, and
-no numpy product is used, so a count is what the arithmetic did rather
-than a formula for it.
+The scalar transcriptions of the v2 sweep, of the row-profile
+elimination and of the Cholesky inversion check operation counts by
+execution: every multiplication, division and square root goes through
+one ``Tally``, one Python float at a time, and no numpy product is used,
+so a count is what the arithmetic did rather than a formula for it.
 """
 
 import math
@@ -160,10 +160,11 @@ def random_symmetric(rng, n, spread=1.0):
 
 
 class Tally:
-    """Counts the multiplications and divisions made through it."""
+    """Counts the multiplications, divisions and square roots made through it."""
 
     def __init__(self):
         self.muldiv = 0
+        self.sqrt = 0
 
     def mul(self, x, y):
         self.muldiv += 1
@@ -173,9 +174,13 @@ class Tally:
         self.muldiv += 1
         return x / y
 
+    def root(self, x):
+        self.sqrt += 1
+        return math.sqrt(x)
+
 
 class PivotRejected(ArithmeticError):
-    """A pivot at or below 1e-12 * max|a_ij| at elimination step *step*."""
+    """A pivot rejected against 1e-12 * max|a_ij| at elimination step *step*."""
 
     def __init__(self, step):
         super().__init__(f"pivot rejected at step {step}")
@@ -272,3 +277,38 @@ def eliminate_scalar(a, required, tally, allow_swaps=True):
         for row in f:
             row[k], row[j] = row[j], row[k]
     return np.array(f)
+
+
+def cholesky_scalar(a, tally):
+    """The classical Cholesky inversion, one scalar at a time; returns the inverse.
+
+    The factor column by column: l_jj = sqrt(d_j) with
+    d_j = a_jj - sum_k l_jk l_jk, rejected when d_j is at most
+    1e-12 * max|a_ij|, then l_ij = (a_ij - sum_k l_ik l_jk) / l_jj below
+    it.  The forward solve L B = I row by row: b_ic =
+    -(sum_{c <= k < i} l_ik b_kc) / l_ii, and b_ii = 1 / l_ii.  The back
+    solve L^T X = B bottom-up, on the lower triangle only:
+    x_ic = (b_ic - sum_{k > i} l_ki x_kc) / l_ii for c <= i.
+    """
+    a, tol = _scalar_rows(a)
+    n = len(a)
+    l = [[0.0] * n for _ in range(n)]
+    for j in range(n):
+        d = a[j][j] - _dot(tally, l[j][:j], l[j][:j])
+        if d <= tol:
+            raise PivotRejected(j)
+        l[j][j] = tally.root(d)
+        for i in range(j + 1, n):
+            l[i][j] = tally.div(a[i][j] - _dot(tally, l[i][:j], l[j][:j]), l[j][j])
+    b = [[0.0] * n for _ in range(n)]
+    for i in range(n):
+        for c in range(i):
+            b[i][c] = -tally.div(_dot(tally, l[i][c:i], [b[k][c] for k in range(c, i)]), l[i][i])
+        b[i][i] = tally.div(1.0, l[i][i])
+    x = [[0.0] * n for _ in range(n)]
+    for i in range(n - 1, -1, -1):
+        for c in range(i + 1):
+            s = b[i][c] - _dot(tally, [l[k][i] for k in range(i + 1, n)],
+                               [x[k][c] for k in range(i + 1, n)])
+            x[i][c] = tally.div(s, l[i][i])
+    return np.array([[x[max(i, j)][min(i, j)] for j in range(n)] for i in range(n)])

@@ -265,15 +265,16 @@ class TestCholeskyOnLdlKernel:
 
     @pytest.mark.parametrize("j", [0, 64, 130])
     def test_pivot_between_tol_squared_and_tol(self, j):
-        # tol = 1e-12 max|a| and tol^2 < 1e-15 <= tol: Cholesky
-        # accepts the pivot, LDL^T rejects it.
+        # tol = 1e-12 max|a| and tol^2 < 1e-15 <= tol: every method
+        # judges its pivot against tol, so Cholesky rejects it as LDL^T does.
         a = _with_pivot(_spd(np.random.default_rng(750 + j), 200), j, 1e-15)
-        l = cholesky_factor(a).l
-        assert l[j, j] == np.sqrt(1e-15)
-        for func in (ldl_factor, invert_ldl, invert_v2):
-            with pytest.raises(ZeroPivot) as err:
-                func(a)
-            assert err.value.step == j
+        cases = (((cholesky_factor, invert_cholesky, invert_km), NotPositiveDefinite),
+                 ((ldl_factor, invert_ldl, invert_v2), ZeroPivot))
+        for funcs, error in cases:
+            for func in funcs:
+                with pytest.raises(error) as err:
+                    func(a)
+                assert err.value.step == j
 
     @pytest.mark.parametrize("n", [63, 64, 65, 200])
     def test_reconstructs_and_counts(self, n):

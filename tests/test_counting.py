@@ -13,7 +13,7 @@ import inspect
 import numpy as np
 import pytest
 
-from oracles import PivotRejected, Tally, eliminate_scalar, v2_sweep_scalar
+from oracles import PivotRejected, Tally, cholesky_scalar, eliminate_scalar, v2_sweep_scalar
 from syminv import (
     FAMILY_KINDS,
     MatrixFamily,
@@ -229,6 +229,38 @@ class TestExecutionCounts:
             assert tally.muldiv == cnt.muldiv - n * p == q_theor("modgauss_p", n, p)
             assert list(got) == list(range(n - p + 1, n + 1))
             _close(np.array(list(got.values())), f[n - p:] @ b)
+
+    def test_cholesky(self, kind, n):
+        a = generate(MatrixFamily(kind, n, 3))
+        tally, cnt = Tally(), OpCounter()
+        try:
+            want = cholesky_scalar(a, tally)
+        except PivotRejected as exc:  # not positive definite
+            assert kind != "diag_dominant"
+            with pytest.raises(NotPositiveDefinite) as err:
+                baselines.invert_cholesky(a, cnt)
+            assert err.value.step == exc.step
+            assert cnt.muldiv == cnt.sqrt == 0
+            return
+        _close(baselines.invert_cholesky(a, cnt), want)
+        assert tally.muldiv == cnt.muldiv == q_theor("cholesky", n)
+        assert tally.sqrt == cnt.sqrt == n
+
+    def test_cholesky_rejects_a_tiny_pivot(self, kind, n):
+        # Pivot j is 1e-15: above the square of the threshold
+        # 1e-12 max|a_ij|, at or below the threshold itself.
+        a = generate(MatrixFamily(kind, n, 3))
+        for j in range(n):
+            b = a.copy()
+            b[j, :] = b[:, j] = 0.0
+            b[j, j] = 1e-15
+            with pytest.raises(PivotRejected) as want:
+                cholesky_scalar(b, Tally())
+            with pytest.raises(NotPositiveDefinite) as err:
+                baselines.cholesky_factor(b)
+            assert err.value.step == want.value.step
+            if kind == "diag_dominant":  # its other pivots stay positive
+                assert err.value.step == j
 
 
 def _failing_at_step_5():

@@ -385,16 +385,26 @@ def _outcome(func, a, scale=1.0):
     return out, c.muldiv, c.sqrt
 
 
-@pytest.mark.parametrize("n", [5, 65])
-@pytest.mark.parametrize("family", ["diag_dominant", "non_dominant", "zero_leading_minor"])
-def test_power_of_two_scaling_keeps_every_pivot_decision(family, n):
+def _assert_scale_free(a):
     # The inverse of 2^k A is 2^-k A^-1 bitwise, with the same counts,
     # or the same error at the same step.
-    a = generate(MatrixFamily(family, n, 3))
     for name, func in _SCALED_FUNCS.items():
         want = _outcome(func, a)
         for k in range(-40, 41, 2):
             assert _outcome(func, a * 2.0 ** k, 2.0 ** k) == want, (name, k)
+
+
+@pytest.mark.parametrize("n", [5, 65])
+@pytest.mark.parametrize("family", ["diag_dominant", "non_dominant", "zero_leading_minor"])
+def test_power_of_two_scaling_keeps_every_pivot_decision(family, n):
+    _assert_scale_free(generate(MatrixFamily(family, n, 3)))
+
+
+def test_power_of_two_scaling_keeps_a_pivot_below_the_threshold():
+    # Pivot 1 is about 1e-14, below the threshold of 1e-12 max|a_ij| but
+    # above its square: every method rejects it at every scale, Cholesky
+    # and km included.
+    _assert_scale_free(np.array([[1.0, 1.0, 0.0], [1.0, 1.0 + 1e-14, 0.0], [0.0, 0.0, 1.0]]))
 
 
 @pytest.mark.parametrize("scale", [1e-13, 1e-20])
@@ -413,7 +423,7 @@ _OVERFLOW_FUNCS = dict(_SCALED_FUNCS, solve=lambda a: solve(a, np.ones(len(a)), 
 def test_overflowing_inverse_raises(name, n):
     # Every pivot of 1e-310 I clears the scale-free threshold, but 1/1e-310
     # overflows float64; numpy's overflow warnings are not the error.
-    with pytest.raises(InvalidArgument):
+    with pytest.raises(InvalidArgument, match="overflows"):
         _OVERFLOW_FUNCS[name](1e-310 * np.eye(n))
 
 

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from oracles import (
+    Tally,
+    cholesky_scalar,
     determinant,
     inverse_bruteforce,
     jacobi_eigenvalues,
@@ -94,3 +96,15 @@ def test_ldl_inverse_rows_matches_adjugate(n):
     assert np.abs(np.triu(low, 1)).max(initial=0.0) == 0.0
     np.testing.assert_allclose(np.tril(low) + np.tril(low, -1).T, inverse_bruteforce(a),
                                rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 8])
+def test_cholesky_scalar_matches_adjugate(n):
+    rng = np.random.default_rng(23 + n)
+    a = random_symmetric(rng, n)
+    a[np.diag_indices(n)] = np.abs(a).sum(axis=1) + 1.0
+    tally = Tally()
+    x = cholesky_scalar(a, tally)
+    np.testing.assert_array_equal(x, x.T)
+    np.testing.assert_allclose(x, inverse_bruteforce(a), rtol=0, atol=1e-12)
+    assert tally.sqrt == n

@@ -272,6 +272,17 @@ class TestRobustWrapper:
         np.testing.assert_array_equal(inv, inv.T)
         np.testing.assert_allclose(inv @ a, np.eye(n), atol=1e-12)
 
+    def test_fallback_keeps_a_finite_inverse_finite(self):
+        # gauss's inverse holds 1e308: (R + R^T) / 2 overflows to inf,
+        # while R / 2 + (R / 2)^T stays within rounding of R.
+        a = np.array([[0.0, 1e-308], [1e-308, 0.0]])
+        c = OpCounter()
+        inv = invert_symmetric_robust(a, c)
+        assert np.isfinite(inv).all()
+        np.testing.assert_array_equal(inv, inv.T)
+        np.testing.assert_allclose(inv, invert(a), rtol=1e-15, atol=0)
+        assert c.muldiv == 2 ** 3 + 2 ** 2
+
     def test_fallback_matches_plain_elimination(self):
         a = generate(MatrixFamily("zero_leading_minor", 5, 157))
         raw = invert(a)
