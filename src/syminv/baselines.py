@@ -17,15 +17,19 @@ Tallies are incremented per algorithmic model, not per vectorized numpy
 instruction: a triangular matrix-vector product is tallied without the
 structural zeros above the diagonal even though the vectorized kernel
 multiplies them, and the Krishnamoorthy-Menon row scalings are absorbed
-into its classical total.  Counts are integer-exact for every order n.
-Each phase adds its model once its arithmetic is done, so a method that
-raises has counted only the phases it completed: a rejected pivot in
-the factor leaves the counter untouched.
+into its classical total (a plain scalar transcription of that
+description executes n^2 more: n(n-1)/2 row scalings in the triangular
+inverse and n(n+1)/2 diagonal terms in the product).  Counts are
+integer-exact for every order n.  Each phase adds its model through
+``matcore._tally`` once its arithmetic is done, so a method that
+raises, on a rejected pivot or a floating-point error, has counted only
+the phases it completed: a rejected pivot in the factor leaves the
+counter untouched.
 
-Every method here, like v1 and v2 in ``symmetric``, forms its inverse
-with the same two kernels: ``_lower_gram``, the lower triangle of
-M^T D^-1 M by 64-column blocks, then ``mirror_lower``'s mirroring,
-after one check that the inverse did not overflow.  The methods
+Every method here, like v2 in ``symmetric``, ends in one shared finish,
+``_gram_inverse``: ``_lower_gram``, the lower triangle of M^T D^-1 M by
+64-column blocks, then the tally of the phase that formed it, one check
+that the inverse did not overflow, and the mirroring.  The methods
 differ only in their factor, their triangular inverse and their cost
 model.  The LDL^T factor and the unit-lower inverse of the LDL and
 Krishnamoorthy-Menon inversions run by 64-column blocks, each a matrix
@@ -45,7 +49,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NotPositiveDefinite, ZeroPivot
-from .matcore import _BLOCK, OpCounter, _checked_symmetric, _finite_inverse, _mirror
+from .matcore import _BLOCK, _checked_symmetric, _finite_inverse, _mirror, _tally
 from .modgauss import default_pivot_tol
 
 
@@ -89,13 +93,11 @@ def cholesky_factor(a, counter=None) -> CholFactor:
     """
     a = _checked_symmetric(a)
     n = a.shape[0]
-    cnt = counter if counter is not None else OpCounter()
     unit, d, blocks = _ldl_nopiv_blocked(a, cholesky=True)
     root = np.sqrt(d)
     l = unit * root
     l[np.diag_indices(n)] = root
-    cnt.add_muldiv(sum(j + (n - 1 - j) * (j + 1) for j in range(n)))
-    cnt.add_sqrt(n)
+    _tally(counter, sum(j + (n - 1 - j) * (j + 1) for j in range(n)), n)
     return CholFactor(l=l, _unit=unit, _blocks=tuple(blocks))
 
 
@@ -106,17 +108,16 @@ def invert_cholesky(a, counter=None) -> np.ndarray:
     roots: factor, then row-wise forward solve of L B = I (row i costs
     (i+1)(i+2)/2), then the back solve of L^T X = B restricted to the
     lower triangle (row i costs (i+1)(n-i)).  The back solve is
-    evaluated as X = B^T B by the shared ``_lower_gram``; its tally is
-    still the per-row model, added as one sum.  The forward solve is
-    the package's one solve left row by row: it is the classical part
-    of this baseline, which v2 is timed against, and moving it onto the
-    blocked unit-lower inverse as well would leave v2 too thin a
-    measured margin over it.  Row i reads, for each 128-column block
+    evaluated as X = B^T B by the shared finish ``_gram_inverse``; its
+    tally is still the per-row model, added as one sum.  The forward
+    solve is the package's one solve left row by row: it is the
+    classical part of this baseline, which v2 is timed against, and
+    moving it onto the blocked unit-lower inverse as well would leave v2
+    too thin a measured margin over it.  Row i reads, for each 128-column block
     c < i of B, only the rows c..i-1 of that block, since B is lower
     triangular and the rows above c are zero there.
     """
-    cnt = counter if counter is not None else OpCounter()
-    l = cholesky_factor(a, cnt).l
+    l = cholesky_factor(a, counter).l
     n = l.shape[0]
     b = np.zeros((n, n))
     for i in range(n):
@@ -126,9 +127,8 @@ def invert_cholesky(a, counter=None) -> np.ndarray:
             bi[c:e] = l[i, c:i] @ b[c:i, c:e]
         bi[:i] /= -l[i, i]
         bi[i] = 1.0 / l[i, i]
-        cnt.add_muldiv((i + 1) * (i + 2) // 2)
-    cnt.add_muldiv(sum((i + 1) * (n - i) for i in range(n)))
-    return _mirror(_finite_inverse(_lower_gram(b, b)))
+        _tally(counter, (i + 1) * (i + 2) // 2)
+    return _gram_inverse(b, None, counter, sum((i + 1) * (n - i) for i in range(n)))
 
 
 def _unit_lower_inverse(l, blocks=()):
@@ -173,6 +173,19 @@ def _lower_gram(x, y):
         out[c:e, :e] = x[c:, c:e].T @ y[c:, :e]
         out[c:e, c:e] = np.tril(out[c:e, c:e])
     return out
+
+
+def _gram_inverse(x, d, counter, muldiv):
+    """The inverse whose lower triangle is x^T D^-1 x: the methods' shared finish.
+
+    Forms that lower triangle by ``_lower_gram``, with D = diag(d), or
+    the identity when *d* is None, then tallies the phase that produced
+    it as *muldiv*, checks that it did not overflow, and mirrors it.
+    D^-1 x is formed here, so it is freed before the mirror allocates.
+    """
+    f = _lower_gram(x, x if d is None else x / d[:, None])
+    _tally(counter, muldiv)
+    return _mirror(_finite_inverse(f))
 
 
 def _ldl_nopiv_blocked(a, cholesky=False):
@@ -231,10 +244,9 @@ def ldl_factor(a, counter=None) -> LdlFactor:
     """
     a = _checked_symmetric(a)
     n = a.shape[0]
-    cnt = counter if counter is not None else OpCounter()
     l, d, blocks = _ldl_nopiv_blocked(a)
     l[np.diag_indices(n)] = 1.0
-    cnt.add_muldiv(sum(2 * j + (n - 1 - j) * (2 * j + 1) for j in range(n)))
+    _tally(counter, sum(2 * j + (n - 1 - j) * (2 * j + 1) for j in range(n)))
     return LdlFactor(l=l, d=d, _blocks=tuple(blocks))
 
 
@@ -246,20 +258,19 @@ def invert_ldl(a, counter=None) -> np.ndarray:
     are never multiplied), diagonal solve (row i costs i+1 divisions),
     and unit back solve of L^T R = D^-1 X (row i costs (n-1-i)(i+1)).
     The forward solve is X = L^-1 by ``_unit_lower_inverse``, reusing
-    the diagonal-block inverses the factor's kernel formed, and the back
-    solve is R = X^T D^-1 X by ``_lower_gram``; each phase is tallied by
-    its per-row model, added as one sum.  This is v2's evaluation step
-    for step, so the output is bitwise ``invert_v2``'s; the two differ
-    only in their cost models.
+    the diagonal-block inverses the factor's kernel formed, and the
+    diagonal and back solves are R = X^T (D^-1 X) by ``_gram_inverse``;
+    the forward solve is tallied once X is formed and the other two
+    together once R is, each by its per-row model, added as one sum.
+    This is v2's evaluation step for step, so the output is bitwise
+    ``invert_v2``'s; the two differ only in their cost models.
     """
-    cnt = counter if counter is not None else OpCounter()
-    fac = ldl_factor(a, cnt)
+    fac = ldl_factor(a, counter)
     n = fac.l.shape[0]
     x = _unit_lower_inverse(fac.l, fac._blocks)
-    cnt.add_muldiv(sum(i * (i - 1) // 2 for i in range(n)))
-    cnt.add_muldiv(n * (n + 1) // 2)
-    cnt.add_muldiv(sum((n - 1 - i) * (i + 1) for i in range(n)))
-    return _mirror(_finite_inverse(_lower_gram(x, x / fac.d[:, None])))
+    _tally(counter, sum(i * (i - 1) // 2 for i in range(n)))
+    return _gram_inverse(x, fac.d, counter, n * (n + 1) // 2
+                         + sum((n - 1 - i) * (i + 1) for i in range(n)))
 
 
 def invert_km(a, counter=None) -> np.ndarray:
@@ -273,10 +284,8 @@ def invert_km(a, counter=None) -> np.ndarray:
     L diag(L)^-1, which the factor keeps from its kernel together with
     the kernel's diagonal-block inverses.
     """
-    cnt = counter if counter is not None else OpCounter()
-    fac = cholesky_factor(a, cnt)
+    fac = cholesky_factor(a, counter)
     n = fac.l.shape[0]
     r = _unit_lower_inverse(fac._unit, fac._blocks) / np.diag(fac.l)[:, None]
-    cnt.add_muldiv(sum(1 + i * (i + 1) // 2 for i in range(n)))
-    cnt.add_muldiv(sum((i + 1) * (n - 1 - i) for i in range(n)))
-    return _mirror(_finite_inverse(_lower_gram(r, r)))
+    _tally(counter, sum(1 + i * (i + 1) // 2 for i in range(n)))
+    return _gram_inverse(r, None, counter, sum((i + 1) * (n - 1 - i) for i in range(n)))

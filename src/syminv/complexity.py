@@ -88,17 +88,11 @@ def count_table(sizes, methods=None) -> list[dict]:
     Defaults to the five inversion methods; the rows are grouped by
     order, preserving the given method order.
     """
-    if methods is None:
-        methods = TABLE_METHODS
-    rows = []
-    for n in sizes:
-        for method in methods:
-            rows.append({
-                "method": method,
-                "n": _check_order(n),
-                "muldiv": q_theor(method, n),
-                "sqrt": s_theor(method, n),
-            })
+    methods = TABLE_METHODS if methods is None else tuple(methods)
+    if not methods:
+        raise InvalidArgument("no methods given")
+    rows = [{"method": m, "n": _check_order(n), "muldiv": q_theor(m, n), "sqrt": s_theor(m, n)}
+            for n in sizes for m in methods]
     if not rows:
         raise InvalidArgument("no sizes given")
     return rows

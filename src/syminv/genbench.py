@@ -14,10 +14,11 @@ Three deterministic matrix families drive the experiments:
   in [1, 2]) glued to a diagonally dominant bulk — symmetric and
   nonsingular but with a zero leading 1x1 minor.
 
-Experiment 1 validates operation counters against the closed-form
-formulas; experiments 2 and 3 measure wall time and accuracy against a
-reference inverse from the row-swapping elimination, on dominant and
-non-dominant families respectively.  Every experiment times the methods
+Every experiment reports the same columns: the operation counts against
+the closed-form formulas, the residual, the distance to a reference
+inverse from the row-swapping elimination, and the wall time.  The
+experiments differ only in their family and default sizes: 1 and 2 run
+on diag_dominant, 3 on non_dominant.  Every experiment times the methods
 of one order together (``time_methods``: one warm-up call each, then
 five rounds that call every method once, counting disabled), so a
 cell's time is the median of five calls interleaved with the other
@@ -217,14 +218,14 @@ def _run_cell(method, family, a, reference) -> InversionReport:
 def run_experiment(exp_id, sizes=None, methods=None, seed=DEFAULT_SEED) -> list[InversionReport]:
     """Run one benchmark experiment and return its report rows.
 
-    Experiment 1 validates counters on diagonally dominant matrices;
-    experiment 2 times the methods on the same family; experiment 3
-    times them on non-dominant matrices.  Every cell records the
-    residual of the computed inverse and its spectral distance to the
-    reference inverse from the row-swapping elimination, and every
-    applicable cell its time from ``time_methods``.  Matrices are
-    seeded with seed + n, so identical arguments reproduce identical
-    counts and accuracy columns.
+    Experiments 1 and 2 run on diagonally dominant matrices, at
+    different default sizes, and experiment 3 on non-dominant ones.
+    Every cell records its counts, the residual of the computed inverse
+    and its spectral distance to the reference inverse from the
+    row-swapping elimination, and every applicable cell its time from
+    ``time_methods``.  An empty *methods* raises InvalidArgument.
+    Matrices are seeded with seed + n, so identical arguments reproduce
+    identical counts and accuracy columns.
     """
     if exp_id not in (1, 2, 3):
         raise InvalidArgument(f"experiment must be 1, 2, or 3, got {exp_id!r}")
@@ -234,6 +235,8 @@ def run_experiment(exp_id, sizes=None, methods=None, seed=DEFAULT_SEED) -> list[
     if methods is None or methods == "all":
         methods = DEFAULT_METHODS
     methods = tuple(methods)
+    if not methods:
+        raise InvalidArgument("at least one method is required")
     for m in methods:
         _method_func(m)
     reports = []

@@ -2,10 +2,12 @@
 
 Matrices are plain square ``numpy.ndarray`` objects of dtype float64.
 ``as_matrix`` is the single entry point that enforces the shared
-invariants (square, at least 1x1, all entries finite) and returns a fresh
-buffer, so no routine in this package ever mutates caller-owned data.
-Routines that only read their input, or hold an array they have just
-made, check it with ``_validated``, the same checks without the copy.
+invariants (square, at least 1x1, all entries real and finite) and
+returns a fresh buffer, so no routine in this package ever mutates
+caller-owned data.  Routines that only read their input, or hold an
+array they have just made, check it with ``_validated``, the same checks
+without the copy.  Both, and every other routine here that reads a
+caller's array, convert it with ``_real``, the one real-number rule.
 """
 
 from __future__ import annotations
@@ -27,14 +29,15 @@ def as_matrix(data) -> np.ndarray:
     """Validate *data* as a dense square float64 matrix and copy it.
 
     Raises DimensionMismatch for anything that is not a square 2-d array
-    and InvalidArgument when entries are NaN or infinite.
+    and InvalidArgument when entries are complex, not numbers, NaN or
+    infinite.
     """
-    return _validated(np.array(data, dtype=np.float64, copy=True))
+    return _validated(_real(data, copy=True))
 
 
 def _validated(data) -> np.ndarray:
     """``as_matrix`` without the copy, for routines that only read *data*."""
-    a = np.asarray(data, dtype=np.float64)
+    a = _real(data)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] == 0:
         raise DimensionMismatch(f"expected a square matrix, got shape {a.shape}")
     if not np.isfinite(a).all():
@@ -57,9 +60,29 @@ def as_integer(value, what: str) -> int:
     raise InvalidArgument(f"{what} must be an integer, got {value!r}")
 
 
+def _real(data, copy=False) -> np.ndarray:
+    """*data* as a float64 array, copied if *copy*: the one real-number input rule.
+
+    Complex input raises InvalidArgument rather than losing its
+    imaginary part, and so does input numpy cannot convert, such as a
+    ragged list or a non-numeric string.  A float64 array is returned
+    as it is, with no pass over its entries, unless *copy* is set.
+    """
+    try:
+        a = np.asarray(data)
+        if a.dtype.kind != "c":
+            return a.astype(np.float64, copy=copy)
+    except (TypeError, ValueError) as exc:
+        raise InvalidArgument(f"entries must be real numbers: {exc}") from None
+    raise InvalidArgument("entries must be real numbers, got complex input")
+
+
 def as_vector(data, n: int) -> np.ndarray:
-    """Validate *data* as a length-*n* float64 vector and copy it."""
-    b = np.array(data, dtype=np.float64, copy=True)
+    """Validate *data* as a length-*n* float64 vector and copy it.
+
+    Complex or non-numeric entries raise InvalidArgument, as in ``as_matrix``.
+    """
+    b = _real(data, copy=True)
     if b.ndim != 1 or b.shape[0] != n:
         raise DimensionMismatch(f"expected a vector of length {n}, got shape {b.shape}")
     if not np.isfinite(b).all():
@@ -75,7 +98,7 @@ class SymmetryCheck:
     """
 
     def passes(self, a) -> bool:
-        a = np.asarray(a, dtype=np.float64)
+        a = _real(a)
         return bool(np.array_equal(a, a.T))
 
 
@@ -109,6 +132,19 @@ class OpCounter:
         if count < 0:
             raise InvalidArgument("cannot add a negative operation count")
         self.sqrt += int(count)
+
+
+def _tally(counter, muldiv, sqrt=0) -> None:
+    """Add a phase's muldiv and square roots to *counter*; no-op when it is None.
+
+    The one place the package's routines count through.  Each calls it
+    once the phase's arithmetic is done, so a call that raises has
+    counted exactly the phases it completed.
+    """
+    if counter is not None:
+        counter.add_muldiv(muldiv)
+        if sqrt:
+            counter.add_sqrt(sqrt)
 
 
 @dataclass(frozen=True, slots=True)
@@ -160,7 +196,7 @@ class RequiredSet:
 
 def frobenius_norm(m) -> float:
     """Square root of the sum of squared entries."""
-    m = np.asarray(m, dtype=np.float64)
+    m = _real(m)
     return float(math.sqrt(float((m * m).sum())))
 
 

@@ -67,9 +67,10 @@ import numpy as np
 from .errors import DimensionMismatch, InvalidArgument, SingularMatrix, ZeroPivot
 from .matcore import (
     _BLOCK,
-    OpCounter,
     RequiredSet,
     _finite_inverse,
+    _real,
+    _tally,
     _validated,
     as_matrix,
     as_vector,
@@ -90,7 +91,7 @@ def default_pivot_tol(a) -> float:
     n^2 temporary; the outer abs turns the -0.0 that max(-0.0, 0.0)
     returns into 0.0.
     """
-    a = np.asarray(a, dtype=np.float64)
+    a = _real(a)
     return 1e-12 * abs(max(float(a.max()), -float(a.min())))
 
 
@@ -235,13 +236,13 @@ def _run_panel(a, f, s, mask, pivot_tol, counter, allow_swaps, swaps) -> int:
         f[e:, :stop] -= d_low[e - s:, :j] @ w
     # Step k's rows: the required rows above k, then every row from k on.
     ahead = above.size + np.cumsum(mask[s:stop]) - mask[s:stop]
-    counter.add_muldiv(sum(_step_cost(int(r) + n - k, k)
-                           for k, r in zip(range(s, stop), ahead)))
+    _tally(counter, sum(_step_cost(int(r) + n - k, k)
+                        for k, r in zip(range(s, stop), ahead)))
     if stop == e:
         return e
     rows = _active_rows(mask, stop)
     _run_step(a, f, stop, rows, pivot_tol, True, swaps)
-    counter.add_muldiv(_step_cost(rows.size, stop))
+    _tally(counter, _step_cost(rows.size, stop))
     return stop + 1
 
 
@@ -266,13 +267,12 @@ def eliminate(a, required=None, counter=None, allow_swaps=True) -> np.ndarray:
         a = a.copy()  # the working copy whose rows the swaps exchange
     n = a.shape[0]
     mask = _coerce_required(required, n).mask(n)
-    cnt = counter if counter is not None else OpCounter()
     tol = default_pivot_tol(a)
     f = np.eye(n)
     swaps: list[tuple[int, int]] = []
     s = 0
     while s < n:
-        s = _run_panel(a, f, s, mask, tol, cnt, allow_swaps, swaps)
+        s = _run_panel(a, f, s, mask, tol, counter, allow_swaps, swaps)
     _finite_inverse(f)
     _to_caller(f, swaps)
     return f
@@ -294,10 +294,9 @@ def solve(a, b, required, counter=None, allow_swaps=True) -> dict[int, float]:
     n = a.shape[0]
     bv = as_vector(b, n)
     req = _coerce_required(required, n)
-    cnt = counter if counter is not None else OpCounter()
-    f = eliminate(a, req, cnt, allow_swaps)
+    f = eliminate(a, req, counter, allow_swaps)
     out = {i: float(f[i - 1] @ bv) for i in req}
-    cnt.add_muldiv(n * len(out))
+    _tally(counter, n * len(out))
     return out
 
 
@@ -340,10 +339,9 @@ def eliminate_step(state: EliminationState, counter=None, allow_swaps=True) -> E
     for k, j in swaps:  # into the working coordinates of the run so far
         a[[k, j]] = a[[j, k]]
         f[:, [k, j]] = f[:, [j, k]]
-    cnt = counter if counter is not None else OpCounter()
     rows = state.active_rows()
     _run_step(a, f, state.step, rows, default_pivot_tol(state.a), allow_swaps, swaps)
-    cnt.add_muldiv(_step_cost(rows.size, state.step))
+    _tally(counter, _step_cost(rows.size, state.step))
     _to_caller(f, swaps)
     return dataclasses.replace(state, f=f, step=state.step + 1, perm=tuple(swaps))
 

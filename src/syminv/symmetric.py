@@ -28,8 +28,8 @@ accumulated into the leading k-block immediately.  Cost: n^3/2 + n^2/2.
 ``invert_v2`` evaluates the sweep's result through its factors (the
 LDL^T kernel shared with ``baselines.ldl_factor``, the unit-lower
 inverse, and the recombination M^T D^-1 M) and tallies the sweep's cost
-model; ``invert_v2_reference`` runs the sweep step by step and measures
-its count.
+model; ``invert_v2_reference`` runs the sweep step by step and adds the
+same per-step model as each step completes.
 
 Neither variant swaps rows (a swap would break the symmetric structure
 the rank-one corrections rely on), so a numerically zero leading minor
@@ -42,15 +42,15 @@ from __future__ import annotations
 import numpy as np
 
 from . import modgauss
-from .baselines import _ldl_nopiv_blocked, _lower_gram, _unit_lower_inverse
+from .baselines import _gram_inverse, _ldl_nopiv_blocked, _lower_gram, _unit_lower_inverse
 from .errors import InvalidArgument, ZeroPivot
 from .matcore import (
-    OpCounter,
     RequiredSet,
     SymmetryCheck,
     _checked_symmetric,
     _finite_inverse,
     _mirror,
+    _tally,
     _validated,
     as_integer,
     frobenius_norm,
@@ -78,15 +78,15 @@ def complete_lower(f, counter=None) -> np.ndarray:
     one, the completed entries are the lower triangle of U^T F with
     U = diag(F)^-1 F, evaluated by 64-column blocks of U.  Mutates
     nothing; returns an exactly lower-triangular matrix whose lower
-    triangle is that of the full inverse.  Tallies the per-step model (k divisions
-    and k(k+1)/2 products at step k): n^3/6 + n^2/2 - 2n/3.
+    triangle is that of the full inverse.  Tallies the per-step model
+    (k divisions and k(k+1)/2 products at step k), n^3/6 + n^2/2 - 2n/3,
+    once that product is formed.
     """
     f = _validated(f)
     n = f.shape[0]
-    cnt = counter if counter is not None else OpCounter()
-    u = f / np.diag(f)[:, None]
-    cnt.add_muldiv(sum(k + k * (k + 1) // 2 for k in range(1, n)))
-    return _lower_gram(u, f)
+    lower = _lower_gram(f / np.diag(f)[:, None], f)
+    _tally(counter, sum(k + k * (k + 1) // 2 for k in range(1, n)))
+    return lower
 
 
 def invert_v1_parts(a, counter=None):
@@ -132,16 +132,15 @@ def invert_v2(a, counter=None) -> np.ndarray:
 
     The tally is the sweep's cost model, n^3/2 + n^2/2 multiplications
     and divisions and no square roots, added as one sum of its per-step
-    terms; the step-by-step measured count comes from
-    invert_v2_reference.
+    terms by the shared finish ``baselines._gram_inverse`` once the
+    recombination is formed; invert_v2_reference adds the same terms
+    step by step.
     """
     a = _checked_symmetric(a)
-    cnt = counter if counter is not None else OpCounter()
     n = a.shape[0]
     l_strict, d, blocks = _ldl_nopiv_blocked(a)
     m = _unit_lower_inverse(l_strict, blocks)
-    cnt.add_muldiv(sum(_sweep_step_cost(n, k) for k in range(n)))
-    return _mirror(_finite_inverse(_lower_gram(m, m / d[:, None])))
+    return _gram_inverse(m, d, counter, sum(_sweep_step_cost(n, k) for k in range(n)))
 
 
 def invert_v2_reference(a, counter=None) -> np.ndarray:
@@ -152,10 +151,12 @@ def invert_v2_reference(a, counter=None) -> np.ndarray:
     of the step, and tallies each step once it completes, so a rejected
     pivot leaves none of its step's multipliers on the counter.  Kept as
     the cross-check of invert_v2: it agrees with invert_v2 up to
-    rounding, and its count is the only measured v2 count.
+    rounding.  Its tally per step is ``_sweep_step_cost(n, k)``, the
+    per-step model whose sum invert_v2 adds, so its count tells which
+    steps completed but is not independent of that model; the execution
+    count of the scalar sweep in the tests' oracles is.
     """
     a = _checked_symmetric(a)
-    cnt = counter if counter is not None else OpCounter()
     tol = modgauss.default_pivot_tol(a)
     n = a.shape[0]
     f = np.eye(n)
@@ -175,7 +176,7 @@ def invert_v2_reference(a, counter=None) -> np.ndarray:
         f[:k, :k] += np.tril(np.outer(f[:k, k], old))
         f[k + 1:, :k] += np.outer(f[k + 1:, k], old)
         f[k, :k] = f[:k, k]
-        cnt.add_muldiv(_sweep_step_cost(n, k))
+        _tally(counter, _sweep_step_cost(n, k))
     return _mirror(_finite_inverse(f))
 
 
@@ -238,17 +239,16 @@ def invert_symmetric_robust(a, counter=None) -> np.ndarray:
     as H + H^T with H = R / 2, which costs n^2 extra multiplications:
     n^3 + n^2 in all.  Halving first keeps every entry of a finite R
     finite, where (R + R^T) / 2 could overflow; it is exact for normal
-    entries, so the two agree bitwise there.  invert_v2 counts nothing
-    before it can raise ZeroPivot, so the counter holds only the
-    operations of the path that produced the result.  The fallback runs
-    only after invert_v2 has checked the input's symmetry.
+    entries, so the two agree bitwise there, and is counted once done.
+    invert_v2 counts nothing before it can raise ZeroPivot, so the
+    counter holds only the operations of the path that produced the
+    result.  The fallback runs only after invert_v2 has checked the
+    input's symmetry.
     """
-    cnt = counter if counter is not None else OpCounter()
     try:
-        return invert_v2(a, cnt)
+        return invert_v2(a, counter)
     except ZeroPivot:
         pass
-    raw = modgauss.invert(a, cnt)
-    cnt.add_muldiv(raw.shape[0] ** 2)
-    h = raw * 0.5
+    h = modgauss.invert(a, counter) * 0.5
+    _tally(counter, h.shape[0] ** 2)
     return h + h.T

@@ -10,8 +10,8 @@ They are exponential or cubic with large constants, so callers keep the
 orders small (n <= 12 for determinants, n <= 8 in bulk).
 
 The scalar transcriptions of the v2 sweep, of the row-profile
-elimination and of the Cholesky inversion check operation counts by
-execution: every multiplication, division and square root goes through
+elimination, of v1's stage two and of the Cholesky, LDL^T and
+Krishnamoorthy-Menon inversions check operation counts by execution: every multiplication, division and square root goes through
 one ``Tally``, one Python float at a time, and no numpy product is used,
 so a count is what the arithmetic did rather than a formula for it.
 """
@@ -235,7 +235,7 @@ def v2_sweep_scalar(a, tally):
                 f[i][j] += tally.mul(f[i][k], old[j])
         for c in range(k):
             f[k][c] = f[c][k]
-    return np.array([[f[max(i, j)][min(i, j)] for j in range(n)] for i in range(n)])
+    return _mirrored(f)
 
 
 def eliminate_scalar(a, required, tally, allow_swaps=True):
@@ -279,6 +279,27 @@ def eliminate_scalar(a, required, tally, allow_swaps=True):
     return np.array(f)
 
 
+def _mirrored(x):
+    """The symmetric matrix whose lower triangle is that of the nested list x."""
+    n = len(x)
+    return np.array([[x[max(i, j)][min(i, j)] for j in range(n)] for i in range(n)])
+
+
+def _cholesky_columns(a, tally):
+    """The Cholesky factor of ``cholesky_scalar``, column by column, as nested lists."""
+    a, tol = _scalar_rows(a)
+    n = len(a)
+    l = [[0.0] * n for _ in range(n)]
+    for j in range(n):
+        d = a[j][j] - _dot(tally, l[j][:j], l[j][:j])
+        if d <= tol:
+            raise PivotRejected(j)
+        l[j][j] = tally.root(d)
+        for i in range(j + 1, n):
+            l[i][j] = tally.div(a[i][j] - _dot(tally, l[i][:j], l[j][:j]), l[j][j])
+    return l
+
+
 def cholesky_scalar(a, tally):
     """The classical Cholesky inversion, one scalar at a time; returns the inverse.
 
@@ -290,16 +311,8 @@ def cholesky_scalar(a, tally):
     solve L^T X = B bottom-up, on the lower triangle only:
     x_ic = (b_ic - sum_{k > i} l_ki x_kc) / l_ii for c <= i.
     """
-    a, tol = _scalar_rows(a)
-    n = len(a)
-    l = [[0.0] * n for _ in range(n)]
-    for j in range(n):
-        d = a[j][j] - _dot(tally, l[j][:j], l[j][:j])
-        if d <= tol:
-            raise PivotRejected(j)
-        l[j][j] = tally.root(d)
-        for i in range(j + 1, n):
-            l[i][j] = tally.div(a[i][j] - _dot(tally, l[i][:j], l[j][:j]), l[j][j])
+    l = _cholesky_columns(a, tally)
+    n = len(l)
     b = [[0.0] * n for _ in range(n)]
     for i in range(n):
         for c in range(i):
@@ -311,4 +324,86 @@ def cholesky_scalar(a, tally):
             s = b[i][c] - _dot(tally, [l[k][i] for k in range(i + 1, n)],
                                [x[k][c] for k in range(i + 1, n)])
             x[i][c] = tally.div(s, l[i][i])
-    return np.array([[x[max(i, j)][min(i, j)] for j in range(n)] for i in range(n)])
+    return _mirrored(x)
+
+
+def ldl_scalar(a, tally):
+    """The classical LDL^T inversion, one scalar at a time; returns the inverse.
+
+    The factor column by column without cached subproducts:
+    d_j = a_jj - sum_k (l_jk d_k) l_jk, rejected when |d_j| is at most
+    1e-12 * max|a_ij|, then l_ij = (a_ij - sum_k l_ik (l_jk d_k)) / d_j
+    below it, recomputing each l_jk d_k.  The unit forward solve
+    L X = I row by row: x_ic = -(l_ic + sum_{c < k < i} l_ik x_kc),
+    never multiplying a unit diagonal.  The diagonal solve
+    y_ic = x_ic / d_i on the lower triangle.  The unit back solve
+    L^T R = Y bottom-up, on the lower triangle only:
+    r_ic = y_ic - sum_{k > i} l_ki r_kc for c <= i.
+    """
+    a, tol = _scalar_rows(a)
+    n = len(a)
+    l = [[0.0] * n for _ in range(n)]
+    d = [0.0] * n
+    for j in range(n):
+        d[j] = a[j][j] - sum(tally.mul(tally.mul(l[j][k], d[k]), l[j][k]) for k in range(j))
+        if abs(d[j]) <= tol:
+            raise PivotRejected(j)
+        for i in range(j + 1, n):
+            s = a[i][j] - sum(tally.mul(l[i][k], tally.mul(l[j][k], d[k])) for k in range(j))
+            l[i][j] = tally.div(s, d[j])
+    x = _identity(n)
+    for i in range(n):
+        for c in range(i):
+            x[i][c] = -(l[i][c] + _dot(tally, l[i][c + 1:i], [x[k][c] for k in range(c + 1, i)]))
+    y = [[tally.div(x[i][c], d[i]) for c in range(i + 1)] for i in range(n)]
+    r = [[0.0] * n for _ in range(n)]
+    for i in range(n - 1, -1, -1):
+        for c in range(i + 1):
+            r[i][c] = y[i][c] - _dot(tally, [l[k][i] for k in range(i + 1, n)],
+                                     [r[k][c] for k in range(i + 1, n)])
+    return _mirrored(r)
+
+
+def complete_lower_scalar(f, tally):
+    """v1's stage two, one scalar at a time; returns the completed lower triangle.
+
+    Step k = 1..n-1 divides row k of the lower-triangular F by f_kk
+    (k divisions, u_c = f_kc / f_kk for c < k) and adds u_i f_kj to
+    entry (i, j) of the leading k-block's lower triangle
+    (k(k+1)/2 products).
+    """
+    g = [[float(x) for x in row] for row in np.asarray(f, dtype=float)]
+    n = len(g)
+    for k in range(1, n):
+        u = [tally.div(g[k][c], g[k][k]) for c in range(k)]
+        for i in range(k):
+            for j in range(i + 1):
+                g[i][j] += tally.mul(u[i], g[k][j])
+    return np.tril(np.array(g))
+
+
+def km_scalar(a, tally):
+    """The Krishnamoorthy-Menon inversion as its docstring states it; returns the inverse.
+
+    The Cholesky factor as in ``cholesky_scalar``, then R = L^-1 row by
+    row with reciprocal diagonals: r_ii = 1 / l_ii and
+    r_ic = -(sum_{c <= k < i} l_ik r_kc) r_ii, then the lower triangle
+    of R^T R over whole columns: x_ic = sum_{k >= i} r_ki r_kc.  Counted
+    by execution, the triangular inverse takes n(n-1)/2 more muldiv than
+    the library's model (the scaling of each off-diagonal r_ic by r_ii)
+    and the product n(n+1)/2 more (the k = i term r_ii r_ic): n^2 in
+    all, so this transcription costs n^3/2 + 3n^2/2, Cholesky's count.
+    """
+    l = _cholesky_columns(a, tally)
+    n = len(l)
+    r = [[0.0] * n for _ in range(n)]
+    for i in range(n):
+        r[i][i] = tally.div(1.0, l[i][i])
+        for c in range(i):
+            s = _dot(tally, l[i][c:i], [r[k][c] for k in range(c, i)])
+            r[i][c] = -tally.mul(s, r[i][i])
+    x = [[0.0] * n for _ in range(n)]
+    for i in range(n):
+        for c in range(i + 1):
+            x[i][c] = _dot(tally, [r[k][i] for k in range(i, n)], [r[k][c] for k in range(i, n)])
+    return _mirrored(x)

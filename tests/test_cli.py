@@ -139,6 +139,18 @@ class TestInvert:
         assert code == 1
         assert "error" in capsys.readouterr().err
 
+    def test_complex_matrix_market_file_is_an_error(self, tmp_path, capsys):
+        # numpy would cut diag(1+i, 1-i) to its real part, the identity.
+        path = tmp_path / "c.mtx"
+        path.write_text("%%MatrixMarket matrix coordinate complex general\n"
+                        "2 2 2\n1 1 1.0 1.0\n2 2 1.0 -1.0\n")
+        code = main(["invert", "--method", "gauss", "--input", str(path)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith("syminv: error: ")
+        assert "real" in captured.err
+
 
 class TestBench:
     def test_csv_to_stdout(self, capsys):
@@ -171,6 +183,10 @@ class TestBench:
     def test_bad_sizes_reported(self, capsys):
         assert main(["bench", "--experiment", "1", "--sizes", "a,b"]) == 1
         assert "error" in capsys.readouterr().err
+
+    def test_empty_method_list_names_the_methods(self, capsys):
+        assert main(["bench", "--experiment", "1", "--sizes", "5", "--methods", ","]) == 1
+        assert capsys.readouterr().err == "syminv: error: at least one method is required\n"
 
     def test_deterministic_excluding_seconds(self, capsys):
         def run():

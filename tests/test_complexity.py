@@ -121,10 +121,12 @@ class TestCountTable:
             ("v1", 10), ("v2", 10), ("v1", 20), ("v2", 20)]
 
     def test_empty_rejected(self):
-        with pytest.raises(InvalidArgument):
+        with pytest.raises(InvalidArgument, match="no sizes"):
             count_table([])
-        with pytest.raises(InvalidArgument):
+        with pytest.raises(InvalidArgument, match="no methods"):
             count_table([10], methods=())
+        with pytest.raises(InvalidArgument, match="no methods"):
+            count_table([], methods=())
 
 
 def test_method_tuples():

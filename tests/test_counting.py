@@ -8,14 +8,27 @@ transcriptions in ``oracles`` count by execution, and every modelled
 and measured count here must equal theirs.
 """
 
+import ast
+import contextlib
 import inspect
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from oracles import PivotRejected, Tally, cholesky_scalar, eliminate_scalar, v2_sweep_scalar
+from oracles import (
+    PivotRejected,
+    Tally,
+    cholesky_scalar,
+    complete_lower_scalar,
+    eliminate_scalar,
+    km_scalar,
+    ldl_scalar,
+    v2_sweep_scalar,
+)
 from syminv import (
     FAMILY_KINDS,
+    InvalidArgument,
     MatrixFamily,
     NotPositiveDefinite,
     OpCounter,
@@ -121,10 +134,67 @@ class TestFailedCalls:
         assert (cnt.muldiv, cnt.sqrt) == (N ** 3 + N ** 2, 0)
 
 
+def _trailing3_solve(a, counter):
+    return modgauss.solve(a, np.ones(len(a)), [2, 3, 4], counter)
+
+
+# (muldiv, sqrt) on 1e-310 I at n = 4: under np.errstate(all="raise"),
+# where the first overflow raises FloatingPointError, and in numpy's
+# default mode, where every phase completes and the overflow check
+# raises.  The two factors complete in both modes.
+_OVERFLOW_COUNTS = [
+    (baselines.invert_cholesky, (36, 4), (56, 4)),
+    (baselines.invert_ldl, (30, 0), (50, 0)),
+    (baselines.invert_km, (30, 4), (40, 4)),
+    (baselines.ldl_factor, (26, 0), (26, 0)),
+    (baselines.cholesky_factor, (16, 4), (16, 4)),
+    (symmetric.invert_v2, (0, 0), (40, 0)),
+    (symmetric.invert_symmetric_robust, (0, 0), (40, 0)),
+    (symmetric.invert_v1, (0, 0), (30, 0)),
+    (modgauss.invert, (0, 0), (64, 0)),
+    (symmetric.invert_v2_reference, (0, 0), (40, 0)),
+    (symmetric.lower_stage, (0, 0), (30, 0)),
+    (_trailing3_solve, (0, 0), (49, 0)),
+]
+
+
+@pytest.mark.parametrize("func, raised, default", _OVERFLOW_COUNTS,
+                         ids=[f.__name__ for f, _, _ in _OVERFLOW_COUNTS])
+class TestOverflowMidRun:
+    """Every phase is counted after its arithmetic, so an overflow that
+    raises inside a phase leaves only the phases before it counted."""
+
+    @staticmethod
+    def _raises_unless_a_factor(func, *args, **kwargs):
+        if func in (baselines.ldl_factor, baselines.cholesky_factor):
+            return contextlib.nullcontext()
+        return pytest.raises(*args, **kwargs)
+
+    def test_floating_point_errors_count_the_completed_phases(self, func, raised, default):
+        cnt = OpCounter()
+        with np.errstate(all="raise"), self._raises_unless_a_factor(func, FloatingPointError):
+            func(1e-310 * np.eye(4), cnt)
+        assert (cnt.muldiv, cnt.sqrt) == raised
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_default_mode_counts_every_phase(self, func, raised, default):
+        cnt = OpCounter()
+        with self._raises_unless_a_factor(func, InvalidArgument,
+                                          match="the inverse overflows float64"):
+            func(1e-310 * np.eye(4), cnt)
+        assert (cnt.muldiv, cnt.sqrt) == default
+
+
 class TestCallsPerRun:
     """One tally per blocked phase: the panel driver adds one per panel."""
 
-    @pytest.mark.parametrize("method, calls", [("gauss", 1), ("v1", 2), ("v2", 1)])
+    @pytest.mark.parametrize("method, calls", [
+        ("gauss", 1), ("v1", 2), ("v2", 1),
+        # ldl: factor, forward solve, then the diagonal and back solves in
+        # the shared finish; cholesky: factor (muldiv and sqrt), one per
+        # forward-solve row, the finish; km: factor, inverse, finish.
+        ("ldl", 3), ("cholesky", 35), ("km", 4),
+    ])
     def test_counter_calls_at_n32(self, method, calls):
         a = generate(MatrixFamily("diag_dominant", 32, 5))
         cnt = _Recording()
@@ -164,6 +234,30 @@ def test_one_step_formula_and_no_counter_in_the_arithmetic():
     for m in range(1, 9):
         for k in range(9):
             assert modgauss._step_cost(m, k) == m * k + 1 + k + (m - 1) * (k + 1)
+
+
+def _is_new_counter(node):
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "OpCounter")
+
+
+def test_every_count_goes_through_the_one_tally():
+    # Outside matcore no module calls add_muldiv/add_sqrt itself, no module
+    # builds a fallback counter (`counter if counter is not None else
+    # OpCounter()`), and only the modules that read a counter (genbench,
+    # the CLI) create one: every other routine passes its caller's
+    # counter, or None, on to matcore._tally.
+    for path in sorted(Path(modgauss.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            where = (path.name, getattr(node, "lineno", None))
+            if isinstance(node, ast.IfExp):
+                assert not (_is_new_counter(node.body) or _is_new_counter(node.orelse)), where
+            if path.stem == "matcore":
+                continue
+            if isinstance(node, ast.Attribute):
+                assert node.attr not in ("add_muldiv", "add_sqrt"), where
+            if _is_new_counter(node):
+                assert path.stem in ("genbench", "cli"), where
 
 
 def _close(got, want):
@@ -244,6 +338,56 @@ class TestExecutionCounts:
             return
         _close(baselines.invert_cholesky(a, cnt), want)
         assert tally.muldiv == cnt.muldiv == q_theor("cholesky", n)
+        assert tally.sqrt == cnt.sqrt == n
+
+    def test_ldl(self, kind, n):
+        a = generate(MatrixFamily(kind, n, 3))
+        tally, cnt = Tally(), OpCounter()
+        try:
+            want = ldl_scalar(a, tally)
+        except PivotRejected as exc:
+            assert kind == "zero_leading_minor"
+            with pytest.raises(ZeroPivot) as err:
+                baselines.invert_ldl(a, cnt)
+            assert err.value.step == exc.step
+            assert cnt.muldiv == 0
+            return
+        _close(baselines.invert_ldl(a, cnt), want)
+        assert tally.muldiv == cnt.muldiv == q_theor("ldl", n)
+        assert tally.sqrt == cnt.sqrt == 0
+
+    def test_v1_stage_two(self, kind, n):
+        a = generate(MatrixFamily(kind, n, 3))
+        if kind == "zero_leading_minor":  # stage one rejects the pivot of step 0
+            with pytest.raises(ZeroPivot, match="step 0"):
+                symmetric.lower_stage(a)
+            return
+        f = symmetric.lower_stage(a)
+        tally, cnt = Tally(), OpCounter()
+        want = complete_lower_scalar(f, tally)
+        _close(symmetric.complete_lower(f, cnt), want)
+        assert tally.muldiv == cnt.muldiv == q_theor("v1_stage2", n)
+
+    def test_km(self, kind, n):
+        # The transcription of km's docstring counts n^2 more than km's
+        # model: n(n-1)/2 in the triangular inverse, which scales every
+        # off-diagonal entry by its row's reciprocal, and n(n+1)/2 in the
+        # product, whose sums include the diagonal term.  The model
+        # absorbs both, so this pins the gap rather than closing it.
+        a = generate(MatrixFamily(kind, n, 3))
+        tally, cnt = Tally(), OpCounter()
+        try:
+            want = km_scalar(a, tally)
+        except PivotRejected as exc:  # not positive definite
+            assert kind != "diag_dominant"
+            with pytest.raises(NotPositiveDefinite) as err:
+                baselines.invert_km(a, cnt)
+            assert err.value.step == exc.step
+            assert cnt.muldiv == cnt.sqrt == 0
+            return
+        _close(baselines.invert_km(a, cnt), want)
+        assert cnt.muldiv == q_theor("km", n)
+        assert tally.muldiv == q_theor("km", n) + n * n == q_theor("cholesky", n)
         assert tally.sqrt == cnt.sqrt == n
 
     def test_cholesky_rejects_a_tiny_pivot(self, kind, n):

@@ -170,6 +170,8 @@ class TestRunExperiment:
             run_experiment(1, sizes=[6], methods=("nope",))
         with pytest.raises(InvalidArgument):
             run_experiment(1, sizes=[])
+        with pytest.raises(InvalidArgument, match="method"):
+            run_experiment(1, sizes=[5], methods=())
 
     def test_gauss_and_robust_methods_runnable(self):
         reports = run_experiment(1, sizes=[7], methods=("gauss", "robust"))

@@ -18,8 +18,9 @@ from syminv import (
     inverse_residual,
     mirror_lower,
     norm2_estimate,
+    solve,
 )
-from syminv.matcore import as_integer
+from syminv.matcore import _validated, as_integer
 
 
 class TestAsMatrix:
@@ -54,6 +55,30 @@ class TestAsMatrix:
         with pytest.raises(InvalidArgument):
             as_matrix([[np.inf, 0.0], [0.0, 1.0]])
 
+    @pytest.mark.filterwarnings("error")  # a ComplexWarning would mean a silent cut
+    @pytest.mark.parametrize("data", [
+        [[1j]],
+        np.array([[1 + 1j, 0], [0, 1 - 1j]]),
+        np.eye(2, dtype=np.complex64),
+        np.array([[1j]], dtype=object),
+    ], ids=["list", "complex128", "complex64", "object"])
+    def test_rejects_complex(self, data):
+        with pytest.raises(InvalidArgument, match="real"):
+            as_matrix(data)
+        with pytest.raises(InvalidArgument, match="real"):
+            mirror_lower(data)  # the copy-free check, _validated
+
+    @pytest.mark.parametrize("data", [[[1, 2], [3]], "abc", [["x", "y"], ["z", "w"]]],
+                             ids=["ragged", "string", "strings"])
+    def test_failed_conversion_is_a_package_error(self, data):
+        with pytest.raises(InvalidArgument, match="real numbers"):
+            as_matrix(data)
+
+    def test_float64_input_is_neither_copied_nor_converted_by_the_check(self):
+        a = np.eye(3)
+        assert _validated(a) is a
+        assert not np.shares_memory(as_matrix(a), a)
+
 
 class TestAsVector:
     def test_accepts_list(self):
@@ -72,6 +97,19 @@ class TestAsVector:
     def test_rejects_non_finite(self):
         with pytest.raises(InvalidArgument):
             as_vector([1.0, np.nan], 2)
+
+    @pytest.mark.filterwarnings("error")
+    def test_rejects_complex(self):
+        with pytest.raises(InvalidArgument, match="real"):
+            as_vector([1j, 1], 2)
+        with pytest.raises(InvalidArgument, match="real"):
+            as_vector(np.array([1j, 1]), 2)
+        with pytest.raises(InvalidArgument, match="real"):
+            solve(np.eye(2), [1j, 1], [1])
+
+    def test_failed_conversion_is_a_package_error(self):
+        with pytest.raises(InvalidArgument, match="real numbers"):
+            as_vector([1, [2, 3]], 2)
 
 
 class TestSymmetryCheck:

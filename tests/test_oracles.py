@@ -6,11 +6,14 @@ import pytest
 from oracles import (
     Tally,
     cholesky_scalar,
+    complete_lower_scalar,
     determinant,
     inverse_bruteforce,
     jacobi_eigenvalues,
+    km_scalar,
     ldl_columns,
     ldl_inverse_rows,
+    ldl_scalar,
     random_symmetric,
     spectral_norm,
 )
@@ -108,3 +111,42 @@ def test_cholesky_scalar_matches_adjugate(n):
     np.testing.assert_array_equal(x, x.T)
     np.testing.assert_allclose(x, inverse_bruteforce(a), rtol=0, atol=1e-12)
     assert tally.sqrt == n
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 8])
+def test_ldl_scalar_matches_adjugate(n):
+    # Indefinite (alternating diagonal signs) but with nonzero leading minors.
+    rng = np.random.default_rng(29 + n)
+    a = random_symmetric(rng, n)
+    a[np.diag_indices(n)] = np.where(np.arange(n) % 2, -1.0, 1.0) * (n + 1)
+    tally = Tally()
+    x = ldl_scalar(a, tally)
+    np.testing.assert_array_equal(x, x.T)
+    np.testing.assert_allclose(x, inverse_bruteforce(a), rtol=0, atol=1e-12)
+    assert tally.sqrt == 0
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 8])
+def test_km_scalar_matches_adjugate(n):
+    rng = np.random.default_rng(31 + n)
+    a = random_symmetric(rng, n)
+    a[np.diag_indices(n)] = np.abs(a).sum(axis=1) + 1.0
+    tally = Tally()
+    x = km_scalar(a, tally)
+    np.testing.assert_array_equal(x, x.T)
+    np.testing.assert_allclose(x, inverse_bruteforce(a), rtol=0, atol=1e-12)
+    assert tally.sqrt == n
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 8])
+def test_complete_lower_scalar_completes_the_leading_block_inverses(n):
+    # Row i of F is the last row of the inverse of the leading
+    # (i+1)-block; the completion is the lower triangle of the inverse.
+    rng = np.random.default_rng(37 + n)
+    a = random_symmetric(rng, n)
+    a[np.diag_indices(n)] = np.abs(a).sum(axis=1) + 1.0
+    f = np.zeros((n, n))
+    for i in range(n):
+        f[i, :i + 1] = inverse_bruteforce(a[:i + 1, :i + 1])[i]
+    got = complete_lower_scalar(f, Tally())
+    np.testing.assert_allclose(got, np.tril(inverse_bruteforce(a)), rtol=0, atol=1e-12)
