@@ -116,8 +116,8 @@ def build_parser():
     p_bench = sub.add_parser("bench", help="run a benchmark experiment")
     p_bench.add_argument("--experiment", type=int, required=True,
                          choices=(1, 2, 3),
-                         help="1: count validation, 2: timing on dominant "
-                         "matrices, 3: timing on non-dominant matrices")
+                         help="1 and 2 run on diag_dominant matrices, 3 on non_dominant "
+                         "ones; each reports counts, residual, dist2 and seconds")
     p_bench.add_argument("--sizes", help="comma-separated matrix orders")
     p_bench.add_argument("--methods", default="all",
                          help="comma-separated method names, or 'all'")

@@ -149,27 +149,23 @@ def generate(family: MatrixFamily) -> np.ndarray:
 
 @dataclass(frozen=True)
 class InversionReport:
-    """One benchmark cell: a method applied to one generated matrix."""
+    """One benchmark cell: a method applied to one generated matrix.
+
+    A measured field is None when the cell has no value for it: a method
+    without a closed form (robust) has no ``q_theor``, an inapplicable
+    cell has no practical counts, residual or time.
+    """
 
     method: str
     family: MatrixFamily
-    q_theor: int | None
-    q_pract: int | None
-    s_theor: int | None
-    s_pract: int | None
-    residual_fro: float | None
-    dist2_vs_reference: float | None
-    elapsed_seconds: float | None
+    q_theor: int | None = None
+    q_pract: int | None = None
+    s_theor: int | None = None
+    s_pract: int | None = None
+    residual_fro: float | None = None
+    dist2_vs_reference: float | None = None
+    elapsed_seconds: float | None = None
     status: str = "ok"
-
-
-def _method_func(name):
-    try:
-        return METHOD_FUNCS[name]
-    except KeyError:
-        raise InvalidArgument(
-            f"unknown method {name!r}; expected one of {', '.join(sorted(METHOD_FUNCS))}"
-        ) from None
 
 
 def _call_seconds(func, a) -> float:
@@ -192,26 +188,20 @@ def time_methods(funcs, a) -> list[float]:
 
 def _run_cell(method, family, a, reference) -> InversionReport:
     """Count and check one method on *a*; the cell's time is left to the caller."""
-    func = _method_func(method)
     formula = _FORMULA_NAME.get(method)
     q_t = complexity.q_theor(formula, family.n) if formula else None
     s_t = complexity.s_theor(formula, family.n) if formula else None
     counter = OpCounter()
     try:
-        inv = func(a, counter)
+        inv = METHOD_FUNCS[method](a, counter)
     except LinAlgError as exc:
-        return InversionReport(
-            method=method, family=family, q_theor=q_t, q_pract=None,
-            s_theor=s_t, s_pract=None, residual_fro=None,
-            dist2_vs_reference=None, elapsed_seconds=None,
-            status=f"inapplicable:{type(exc).__name__}",
-        )
+        return InversionReport(method, family, q_theor=q_t, s_theor=s_t,
+                               status=f"inapplicable:{type(exc).__name__}")
     return InversionReport(
-        method=method, family=family, q_theor=q_t, q_pract=counter.muldiv,
+        method, family, q_theor=q_t, q_pract=counter.muldiv,
         s_theor=s_t, s_pract=counter.sqrt,
         residual_fro=inverse_residual(a, inv),
         dist2_vs_reference=norm2_estimate(inv - reference),
-        elapsed_seconds=None,
     )
 
 
@@ -223,25 +213,32 @@ def run_experiment(exp_id, sizes=None, methods=None, seed=DEFAULT_SEED) -> list[
     Every cell records its counts, the residual of the computed inverse
     and its spectral distance to the reference inverse from the
     row-swapping elimination, and every applicable cell its time from
-    ``time_methods``.  An empty *methods* raises InvalidArgument.
-    Matrices are seeded with seed + n, so identical arguments reproduce
+    ``time_methods``.  Every argument is checked before any matrix is
+    generated: an empty *methods*, an unknown method name, and an
+    experiment, order or seed that ``as_integer`` rejects raise
+    InvalidArgument.  Matrices are seeded with seed + n, so identical arguments reproduce
     identical counts and accuracy columns.
     """
+    exp_id = as_integer(exp_id, "experiment")
     if exp_id not in (1, 2, 3):
         raise InvalidArgument(f"experiment must be 1, 2, or 3, got {exp_id!r}")
-    sizes = tuple(DEFAULT_SIZES[exp_id] if sizes is None else sizes)
+    sizes = [as_integer(n, "matrix order")
+             for n in (DEFAULT_SIZES[exp_id] if sizes is None else sizes)]
     if not sizes:
         raise InvalidArgument("at least one matrix order is required")
+    seed = as_integer(seed, "seed")
     if methods is None or methods == "all":
         methods = DEFAULT_METHODS
     methods = tuple(methods)
     if not methods:
         raise InvalidArgument("at least one method is required")
     for m in methods:
-        _method_func(m)
+        if m not in METHOD_FUNCS:
+            raise InvalidArgument(f"unknown method {m!r}; expected one of "
+                                  f"{', '.join(sorted(METHOD_FUNCS))}")
     reports = []
     for n in sizes:
-        family = MatrixFamily(_EXPERIMENT_FAMILY[exp_id], int(n), seed + int(n))
+        family = MatrixFamily(_EXPERIMENT_FAMILY[exp_id], n, seed + n)
         a = generate(family)
         reference = modgauss.invert(a)
         cells = [_run_cell(method, family, a, reference) for method in methods]
@@ -342,7 +339,8 @@ def _verify_counts(max_n, seed):
         if sweep_cnt.muldiv != complexity.q_theor("v2", n):
             return False, f"measured v2 sweep muldiv mismatch at n={n}: {sweep_cnt.muldiv}"
         checked += 3
-    return True, f"{checked} method/order count checks exact"
+    return True, (f"{checked} method/order count checks exact, square roots included "
+                  "(0 for v1, v2, ldl and gauss, n for cholesky and km)")
 
 
 def _verify_partial_counts(max_n, seed):
@@ -413,18 +411,6 @@ def _verify_structure(seed):
             return False, f"factor form and step-by-step sweep disagree at n={n}"
     return True, ("triangularity, reconstruction and symmetry are exact; "
                   "factor form matches the sweep to 1e-13")
-
-
-def _verify_sqrt_freedom(max_n, seed):
-    n = max_n + 1  # count-formulas checks every order up to max_n
-    a = generate(MatrixFamily("diag_dominant", n, seed + n))
-    for method, formula in _FORMULA_NAME.items():
-        cnt = OpCounter()
-        METHOD_FUNCS[method](a, cnt)
-        want = complexity.s_theor(formula, n)
-        if cnt.sqrt != want:
-            return False, f"{method} evaluated {cnt.sqrt} square roots, expected {want}"
-    return True, "square-root tallies are 0 (v1/v2/ldl/gauss) and n (cholesky/km)"
 
 
 def _verify_zero_minor(seed):
@@ -534,7 +520,13 @@ def _verify_panels(seed):
 
 
 def run_verification(max_n=40, seed=DEFAULT_SEED) -> list[tuple[str, bool, str]]:
-    """Run the invariant suite; returns (name, passed, detail) triples."""
+    """Run the invariant suite; returns (name, passed, detail) triples.
+
+    *max_n* and *seed* follow ``as_integer``; a value it rejects, or a
+    *max_n* below 2, raises InvalidArgument before any check runs.
+    """
+    max_n = as_integer(max_n, "max_n")
+    seed = as_integer(seed, "seed")
     if max_n < 2:
         raise InvalidArgument("max_n must be at least 2")
     suite = [
@@ -543,7 +535,6 @@ def run_verification(max_n=40, seed=DEFAULT_SEED) -> list[tuple[str, bool, str]]
         ("method-agreement", lambda: _verify_agreement(max_n, seed)),
         ("lemma-checks", lambda: _verify_lemmas(seed)),
         ("structure", lambda: _verify_structure(seed)),
-        ("sqrt-freedom", lambda: _verify_sqrt_freedom(max_n, seed)),
         ("zero-minor-handling", lambda: _verify_zero_minor(seed)),
         ("indefinite-applicability", lambda: _verify_indefinite(seed)),
         ("residual-bounds", lambda: _verify_residuals(seed)),

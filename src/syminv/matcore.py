@@ -94,12 +94,12 @@ class SymmetryCheck:
     """Exact entrywise symmetry predicate: a_ij == a_ji for every i, j.
 
     Every matrix the built-in generators produce passes it, and so does a
-    CSV round trip of one.
+    CSV round trip of one.  Anything that is not 2-D fails it.
     """
 
     def passes(self, a) -> bool:
         a = _real(a)
-        return bool(np.array_equal(a, a.T))
+        return a.ndim == 2 and bool(np.array_equal(a, a.T))
 
 
 def _checked_symmetric(a) -> np.ndarray:

@@ -184,6 +184,14 @@ class TestBench:
         assert main(["bench", "--experiment", "1", "--sizes", "a,b"]) == 1
         assert "error" in capsys.readouterr().err
 
+    def test_help_names_each_experiment_family(self, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["bench", "--help"])
+        assert err.value.code == 0
+        text = " ".join(capsys.readouterr().out.split())
+        assert "diag_dominant" in text and "non_dominant" in text
+        assert "count validation" not in text
+
     def test_empty_method_list_names_the_methods(self, capsys):
         assert main(["bench", "--experiment", "1", "--sizes", "5", "--methods", ","]) == 1
         assert capsys.readouterr().err == "syminv: error: at least one method is required\n"

@@ -18,6 +18,7 @@ from syminv import (
     ZeroPivot,
     baselines,
     emit_report,
+    genbench,
     generate,
     ldl_factor,
     modgauss,
@@ -173,6 +174,23 @@ class TestRunExperiment:
         with pytest.raises(InvalidArgument, match="method"):
             run_experiment(1, sizes=[5], methods=())
 
+    @pytest.mark.parametrize("bad", [{"exp_id": 1.5}, {"exp_id": "1"}, {"sizes": [2.5]},
+                                     {"sizes": [5, "5"]}, {"sizes": [None]},
+                                     {"seed": 1.5}, {"seed": "a"}],
+                             ids=["exp_id-1.5", "exp_id-str", "size-2.5", "size-str",
+                                  "size-None", "seed-1.5", "seed-str"])
+    def test_integer_rule_applies_before_any_work(self, monkeypatch, bad):
+        monkeypatch.setattr(genbench, "generate", lambda family: pytest.fail("ran"))
+        args = {"exp_id": 1, "sizes": [5], "methods": ["v2"], "seed": 1, **bad}
+        with pytest.raises(InvalidArgument, match="must be an integer"):
+            run_experiment(**args)
+
+    def test_integral_floats_run_as_ints(self):
+        (rep,) = run_experiment(1.0, sizes=[6.0], methods=["v2"], seed=np.int64(3))
+        assert rep.family == MatrixFamily("diag_dominant", 6, 9)
+        assert type(rep.family.n) is int and type(rep.family.seed) is int
+        assert rep.q_pract == rep.q_theor
+
     def test_gauss_and_robust_methods_runnable(self):
         reports = run_experiment(1, sizes=[7], methods=("gauss", "robust"))
         gauss, robust = reports
@@ -243,14 +261,31 @@ class TestEmitReport:
 
 def test_run_verification_small():
     results = run_verification(max_n=8, seed=42)
-    assert len(results) >= 8
-    assert "panel-driver" in {name for name, _, _ in results}
+    assert [name for name, _, _ in results] == [
+        "count-formulas", "partial-solve-counts", "method-agreement",
+        "lemma-checks", "structure", "zero-minor-handling",
+        "indefinite-applicability", "residual-bounds", "row-identities",
+        "panel-driver",
+    ]
     for name, ok, detail in results:
         assert ok, (name, detail)
         assert isinstance(detail, str) and detail
 
     with pytest.raises(InvalidArgument):
         run_verification(max_n=1)
+
+
+@pytest.mark.parametrize("bad", [{"max_n": 6.5}, {"max_n": "6"}, {"max_n": None},
+                                 {"seed": 1.5}, {"seed": "a"}],
+                         ids=["max_n-6.5", "max_n-str", "max_n-None", "seed-1.5", "seed-str"])
+def test_run_verification_applies_the_integer_rule(bad):
+    with pytest.raises(InvalidArgument, match="must be an integer"):
+        run_verification(**bad)
+
+
+def test_run_verification_takes_integral_floats():
+    results = run_verification(max_n=3.0, seed=np.int64(5))
+    assert all(ok for _, ok, _ in results), results
 
 
 class TestNonDominantReseed:

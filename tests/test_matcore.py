@@ -122,6 +122,11 @@ class TestSymmetryCheck:
         assert not SymmetryCheck().passes(a)
         assert not SymmetryCheck().passes(a.T)
 
+    @pytest.mark.parametrize("a", [5.0, np.ones(3), np.ones((2, 2, 2)), np.ones((2, 3))],
+                             ids=["scalar", "vector", "3-d", "2x3"])
+    def test_rejects_anything_but_a_square_matrix(self, a):
+        assert not SymmetryCheck().passes(a)
+
 
 class TestOpCounter:
     def test_starts_at_zero_and_accumulates(self):

@@ -55,18 +55,6 @@ def _without_sqrt(func):
     return run
 
 
-def _sqrt_at_order(n):
-    """One extra square root, counted only at order n."""
-    def wrap(func):
-        def run(a, counter=None):
-            out = func(a, counter)
-            if len(a) == n and counter is not None:
-                counter.add_sqrt(1)
-            return out
-        return run
-    return wrap
-
-
 def _scaled(factor):
     def wrap(func):
         return lambda a, counter=None: func(a, counter) * factor
@@ -171,15 +159,10 @@ def _boom(*args, **kwargs):
 CASES = [
     ("v2-extra-muldiv", {"count-formulas": "v2 muldiv mismatch"},
      lambda mp: _method(mp, "v2", _counting(extra_muldiv=1))),
-    ("ldl-takes-a-sqrt", {"count-formulas": "ldl sqrt mismatch",
-                         "sqrt-freedom": "ldl evaluated 1 square roots"},
+    ("ldl-takes-a-sqrt", {"count-formulas": "ldl sqrt mismatch"},
      lambda mp: _method(mp, "ldl", _counting(extra_sqrt=1))),
-    ("km-counts-no-sqrt", {"count-formulas": "km sqrt mismatch",
-                          "sqrt-freedom": "km evaluated 0 square roots"},
+    ("km-counts-no-sqrt", {"count-formulas": "km sqrt mismatch"},
      lambda mp: _method(mp, "km", _without_sqrt)),
-    # count-formulas stops at --max-n 3; sqrt-freedom runs at order 4.
-    ("ldl-sqrt-beyond-max-n", {"sqrt-freedom": "ldl evaluated 1 square roots"},
-     lambda mp: _method(mp, "ldl", _sqrt_at_order(4))),
     ("stage1-extra-muldiv", {"count-formulas": "stage-1 muldiv mismatch"},
      _stage_miscounted("lower_stage")),
     ("stage2-extra-muldiv", {"count-formulas": "stage-2 muldiv mismatch"},
@@ -255,7 +238,7 @@ def test_broken_invariant_fails_its_check(monkeypatch, capsys, broken, patch):
     assert failed.keys() == broken.keys(), lines
     for name, start in broken.items():
         assert failed[name].startswith(start), (name, failed[name])
-    assert lines[-1] == f"{11 - len(broken)}/11 checks passed"
+    assert lines[-1] == f"{10 - len(broken)}/10 checks passed"
 
 
 def test_a_raising_check_reports_its_exception(monkeypatch):
