@@ -28,10 +28,14 @@ counter untouched.
 
 Every method here, like v2 in ``symmetric``, ends in one shared finish,
 ``_gram_inverse``: ``_lower_gram``, the lower triangle of M^T D^-1 M by
-64-column blocks, then the tally of the phase that formed it, one check
+64-row blocks, then the tally of the phase that formed it, one check
 that the inverse did not overflow, and the mirroring.  The methods
 differ only in their factor, their triangular inverse and their cost
-model.  The LDL^T factor and the unit-lower inverse of the LDL and
+model.  The triangular inverse, the lower triangle and the mirroring
+each overwrite the array they are given and return it, so the finish
+allocates no n x n array: the inverse is formed in the array the
+factor was made in (Cholesky's in its forward solve's B, km's in the
+unit factor its factor keeps beside L).  The LDL^T factor and the unit-lower inverse of the LDL and
 Krishnamoorthy-Menon inversions run by 64-column blocks, each a matrix
 product; the Cholesky factor runs on the same LDL^T kernel, with
 Cholesky's pivot test, and scales its columns by sqrt(d).  The back
@@ -115,7 +119,8 @@ def invert_cholesky(a, counter=None) -> np.ndarray:
     moving it onto the blocked unit-lower inverse as well would leave v2
     too thin a measured margin over it.  Row i reads, for each 128-column block
     c < i of B, only the rows c..i-1 of that block, since B is lower
-    triangular and the rows above c are zero there.
+    triangular and the rows above c are zero there.  The finish
+    overwrites B with the inverse.
     """
     l = cholesky_factor(a, counter).l
     n = l.shape[0]
@@ -132,16 +137,18 @@ def invert_cholesky(a, counter=None) -> np.ndarray:
 
 
 def _unit_lower_inverse(l, blocks=()):
-    """Inverse of the unit lower-triangular matrix with l's strict lower triangle.
+    """Overwrite *l* with the inverse M of the unit lower-triangular matrix it holds.
 
-    Only the strict lower triangle of *l* is read.  Row loop on each
-    64x64 diagonal block, one product per block for the rows to its
-    left, where the inverse so far is zero above its diagonal blocks.
-    *blocks* holds the inverses of leading diagonal blocks that the
-    LDL^T kernel already formed; they are the row loop's result.
+    Returns *l*.  Only the strict lower triangle of *l* is read, and its
+    entries right of the 64x64 diagonal blocks are left as they are, so
+    they must be zero.  By 64-row blocks from the top, since row block
+    I of M needs only the rows of M above it and its own factor rows:
+    first T = L[I, :s] M[:s, :s] by 64-column blocks from the left, each
+    written over the factor columns no later block reads, then
+    M[I, :s] = -M_II T, M_II from the row loop on the diagonal block.
+    *blocks* holds the M_II that the LDL^T kernel already formed.
     """
     n = l.shape[0]
-    m = np.zeros((n, n))
     for b, s in enumerate(range(0, n, _BLOCK)):
         e = min(s + _BLOCK, n)
         if b < len(blocks):
@@ -150,40 +157,40 @@ def _unit_lower_inverse(l, blocks=()):
             blk = np.eye(e - s)
             for i in range(1, e - s):
                 blk[i, :i] = -(l[s + i, s:s + i] @ blk[:i, :i])
-        m[s:e, s:e] = blk
-        if s:
-            t = np.empty((e - s, s))
-            for c in range(0, s, _BLOCK):
-                t[:, c:c + _BLOCK] = l[s:e, c:s] @ m[c:s, c:c + _BLOCK]
-            m[s:e, :s] = -blk @ t
-    return m
+        for c in range(0, s, _BLOCK):
+            l[s:e, c:c + _BLOCK] = l[s:e, c:s] @ l[c:s, c:c + _BLOCK]
+        l[s:e, :s] = -blk @ l[s:e, :s]
+        l[s:e, s:e] = blk
+    return l
 
 
-def _lower_gram(x, y):
-    """Lower triangle of x^T y for lower-triangular x and y, upper part zero.
+def _lower_gram(x, d=None):
+    """Overwrite lower-triangular *x* with the lower triangle of x^T D^-1 x, and return it.
 
-    One product per 64-column block [c, e) of x: rows c..e-1 of the
-    result, up to column e-1, are x[c:, c:e]^T y[c:, :e], since the rows
-    of x[:, c:e] above c are zero.
+    D = diag(*d*), or the identity when *d* is None.  By 64-row blocks
+    from the top: rows c..e-1 of the result, up to column e-1, are
+    x[c:, c:e]^T (D^-1 x)[c:, :e], since the rows of x[:, c:e] above c
+    are zero, and D^-1 x is formed one block at a time.  No later block
+    reads rows above its own, so each block is written over the rows it
+    has just read; the upper part stays zero.
     """
     n = x.shape[0]
-    out = np.zeros((n, n))
     for c in range(0, n, _BLOCK):
         e = min(c + _BLOCK, n)
-        out[c:e, :e] = x[c:, c:e].T @ y[c:, :e]
-        out[c:e, c:e] = np.tril(out[c:e, c:e])
-    return out
+        x[c:e, :e] = x[c:, c:e].T @ (x[c:, :e] if d is None else x[c:, :e] / d[c:, None])
+        x[c:e, c:e] = np.tril(x[c:e, c:e])
+    return x
 
 
 def _gram_inverse(x, d, counter, muldiv):
     """The inverse whose lower triangle is x^T D^-1 x: the methods' shared finish.
 
-    Forms that lower triangle by ``_lower_gram``, with D = diag(d), or
-    the identity when *d* is None, then tallies the phase that produced
-    it as *muldiv*, checks that it did not overflow, and mirrors it.
-    D^-1 x is formed here, so it is freed before the mirror allocates.
+    Overwrites lower-triangular *x* with that lower triangle by
+    ``_lower_gram``, with D = diag(d), or the identity when *d* is None,
+    then tallies the phase that produced it as *muldiv*, checks that it
+    did not overflow, and mirrors it in place: the inverse is *x*.
     """
-    f = _lower_gram(x, x if d is None else x / d[:, None])
+    f = _lower_gram(x, d)
     _tally(counter, muldiv)
     return _mirror(_finite_inverse(f))
 
@@ -221,7 +228,7 @@ def _ldl_nopiv_blocked(a, cholesky=False):
             a[j + 1:e, j + 1:e] -= lj[:, None] * col
             col[:] = lj
         if e < n:
-            blocks.append(_unit_lower_inverse(a[s:e, s:e]))
+            blocks.append(_unit_lower_inverse(a[s:e, s:e].copy()))
             w21 = a[e:, s:e] @ blocks[-1].T
             l21 = w21 / d[s:e]
             a[e:, s:e] = l21
@@ -263,7 +270,8 @@ def invert_ldl(a, counter=None) -> np.ndarray:
     the forward solve is tallied once X is formed and the other two
     together once R is, each by its per-row model, added as one sum.
     This is v2's evaluation step for step, so the output is bitwise
-    ``invert_v2``'s; the two differ only in their cost models.
+    ``invert_v2``'s; the two differ only in their cost models.  X and
+    then the inverse are formed in place, in the factor's L.
     """
     fac = ldl_factor(a, counter)
     n = fac.l.shape[0]
@@ -282,10 +290,12 @@ def invert_km(a, counter=None) -> np.ndarray:
     (i+1)(n-1-i)).  Total: n^3/2 + n^2/2 muldiv and n square roots.
     R is evaluated as diag(1/l_ii) times the inverse of the unit factor
     L diag(L)^-1, which the factor keeps from its kernel together with
-    the kernel's diagonal-block inverses.
+    the kernel's diagonal-block inverses.  R and then the inverse are
+    formed in place, in that unit factor.
     """
     fac = cholesky_factor(a, counter)
     n = fac.l.shape[0]
-    r = _unit_lower_inverse(fac._unit, fac._blocks) / np.diag(fac.l)[:, None]
+    r = _unit_lower_inverse(fac._unit, fac._blocks)
+    r /= np.diag(fac.l)[:, None]
     _tally(counter, sum(1 + i * (i + 1) // 2 for i in range(n)))
     return _gram_inverse(r, None, counter, sum((i + 1) * (n - 1 - i) for i in range(n)))

@@ -36,9 +36,8 @@ def _parse_int_list(text, what):
 
 
 def _parse_methods(text):
-    if text is None or text == "all":
-        return None
-    return tuple(piece.strip() for piece in text.split(",") if piece.strip())
+    """The --methods list for ``run_experiment``: "all", or a tuple of names."""
+    return text if text == "all" else tuple(p.strip() for p in text.split(",") if p.strip())
 
 
 def _print_matrix(stream, m):

@@ -77,7 +77,10 @@ DEFAULT_SEED = 42
 
 @dataclass(frozen=True)
 class MatrixFamily:
-    """Generator descriptor: family kind, matrix order, and base seed."""
+    """Generator descriptor: family kind, matrix order, and base seed.
+
+    The order must be positive and the seed non-negative.
+    """
 
     kind: str
     n: int
@@ -92,6 +95,8 @@ class MatrixFamily:
         object.__setattr__(self, "seed", as_integer(self.seed, "seed"))
         if self.n < 1:
             raise InvalidArgument(f"matrix order must be positive, got {self.n}")
+        if self.seed < 0:
+            raise InvalidArgument(f"seed must be non-negative, got {self.seed}")
 
 
 def _symmetric_uniform(rng, n, with_diagonal):
@@ -213,11 +218,13 @@ def run_experiment(exp_id, sizes=None, methods=None, seed=DEFAULT_SEED) -> list[
     Every cell records its counts, the residual of the computed inverse
     and its spectral distance to the reference inverse from the
     row-swapping elimination, and every applicable cell its time from
-    ``time_methods``.  Every argument is checked before any matrix is
-    generated: an empty *methods*, an unknown method name, and an
-    experiment, order or seed that ``as_integer`` rejects raise
-    InvalidArgument.  Matrices are seeded with seed + n, so identical arguments reproduce
-    identical counts and accuracy columns.
+    ``time_methods``.  *methods* is "all" (the default), one method
+    name, or a sequence of them.  Every argument is checked before any
+    matrix is generated: an empty *methods*, an unknown method name, an
+    experiment, order or seed that ``as_integer`` rejects and a
+    negative seed raise InvalidArgument.  Matrices are seeded with
+    seed + n, so identical arguments reproduce identical counts and
+    accuracy columns.
     """
     exp_id = as_integer(exp_id, "experiment")
     if exp_id not in (1, 2, 3):
@@ -227,9 +234,11 @@ def run_experiment(exp_id, sizes=None, methods=None, seed=DEFAULT_SEED) -> list[
     if not sizes:
         raise InvalidArgument("at least one matrix order is required")
     seed = as_integer(seed, "seed")
+    if seed < 0:
+        raise InvalidArgument(f"seed must be non-negative, got {seed}")
     if methods is None or methods == "all":
         methods = DEFAULT_METHODS
-    methods = tuple(methods)
+    methods = (methods,) if isinstance(methods, str) else tuple(methods)
     if not methods:
         raise InvalidArgument("at least one method is required")
     for m in methods:
@@ -522,13 +531,16 @@ def _verify_panels(seed):
 def run_verification(max_n=40, seed=DEFAULT_SEED) -> list[tuple[str, bool, str]]:
     """Run the invariant suite; returns (name, passed, detail) triples.
 
-    *max_n* and *seed* follow ``as_integer``; a value it rejects, or a
-    *max_n* below 2, raises InvalidArgument before any check runs.
+    *max_n* and *seed* follow ``as_integer``; a value it rejects, a
+    *max_n* below 2 or a negative seed raises InvalidArgument before any
+    check runs.
     """
     max_n = as_integer(max_n, "max_n")
     seed = as_integer(seed, "seed")
     if max_n < 2:
         raise InvalidArgument("max_n must be at least 2")
+    if seed < 0:
+        raise InvalidArgument(f"seed must be non-negative, got {seed}")
     suite = [
         ("count-formulas", lambda: _verify_counts(max_n, seed)),
         ("partial-solve-counts", lambda: _verify_partial_counts(max_n, seed)),

@@ -235,23 +235,24 @@ def mirror_lower(f) -> np.ndarray:
     value plus 0.0, so a -0.0 comes out as 0.0.  Evaluated by 128-column
     blocks: each diagonal block by that formula, each block left of it
     plus 0.0 in one pass and copied up transposed, which keeps the
-    transposed reads in cache.  *f* is checked as by ``as_matrix``.
+    transposed reads in cache.  *f* is copied as by ``as_matrix``.
     """
-    return _mirror(_validated(f))
+    return _mirror(as_matrix(f))
 
 
 def _mirror(f) -> np.ndarray:
-    """``mirror_lower`` without the input check, for a matrix just formed."""
+    """``mirror_lower`` written over *f*, a matrix just formed, which it returns.
+
+    No block reads the upper part that an earlier block has written.
+    """
     n = f.shape[0]
-    out = np.empty((n, n))
     for c in range(0, n, 128):
         e = min(c + 128, n)
         blk = f[c:e, c:e]
-        out[c:e, c:e] = np.tril(blk) + np.tril(blk, -1).T
-        if c:
-            np.add(f[c:e, :c], 0.0, out=out[c:e, :c])
-            out[:c, c:e] = out[c:e, :c].T
-    return out
+        blk[:] = np.tril(blk) + np.tril(blk, -1).T
+        np.add(f[c:e, :c], 0.0, out=f[c:e, :c])
+        f[:c, c:e] = f[c:e, :c].T
+    return f
 
 
 def _finite_inverse(f) -> np.ndarray:

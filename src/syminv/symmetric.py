@@ -74,17 +74,18 @@ def complete_lower(f, counter=None) -> np.ndarray:
     """Stage two of variant 1: rank-one completion of the stage-one rows.
 
     Adds outer(row_k / f_kk, row_k) to the leading k-block for
-    k = 1..n-1.  Since F is lower triangular and f_kk / f_kk is exactly
-    one, the completed entries are the lower triangle of U^T F with
-    U = diag(F)^-1 F, evaluated by 64-column blocks of U.  Mutates
-    nothing; returns an exactly lower-triangular matrix whose lower
-    triangle is that of the full inverse.  Tallies the per-step model
+    k = 1..n-1.  Since f_kk / f_kk is exactly one, the completed entries
+    are the lower triangle of F^T diag(F)^-1 F, which
+    ``baselines._lower_gram`` forms over a copy of F's lower triangle,
+    the only part of *f* read.  Mutates nothing; returns an exactly
+    lower-triangular matrix whose lower triangle is that of the full
+    inverse.  Tallies the per-step model
     (k divisions and k(k+1)/2 products at step k), n^3/6 + n^2/2 - 2n/3,
     once that product is formed.
     """
     f = _validated(f)
     n = f.shape[0]
-    lower = _lower_gram(f / np.diag(f)[:, None], f)
+    lower = _lower_gram(np.tril(f), np.diag(f))
     _tally(counter, sum(k + k * (k + 1) // 2 for k in range(1, n)))
     return lower
 
@@ -97,7 +98,7 @@ def invert_v1_parts(a, counter=None):
     """
     stage1 = lower_stage(a, counter)
     final = complete_lower(stage1, counter)
-    return stage1, final, _mirror(_finite_inverse(final))
+    return stage1, final, _mirror(_finite_inverse(final).copy())
 
 
 def invert_v1(a, counter=None) -> np.ndarray:
@@ -134,7 +135,8 @@ def invert_v2(a, counter=None) -> np.ndarray:
     and divisions and no square roots, added as one sum of its per-step
     terms by the shared finish ``baselines._gram_inverse`` once the
     recombination is formed; invert_v2_reference adds the same terms
-    step by step.
+    step by step.  The factor, M and the inverse are formed in turn in
+    one array, the checked copy of *a*.
     """
     a = _checked_symmetric(a)
     n = a.shape[0]

@@ -211,13 +211,15 @@ class TestBlockedKernels:
 
     @pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 130, 200])
     def test_lower_gram(self, n):
+        # _lower_gram overwrites its input, so each call gets a copy.
         rng = np.random.default_rng(720 + n)
         x = np.tril(rng.uniform(-1, 1, (n, n)))
-        y = np.tril(rng.uniform(-1, 1, (n, n)))
-        want = np.tril(x.T @ y)
-        got = _lower_gram(x, y)
-        assert np.abs(np.triu(got, 1)).max(initial=0.0) == 0.0
-        assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+        d = rng.uniform(0.5, 2.0, n) * rng.choice([-1.0, 1.0], n)
+        for scale in (None, d):
+            want = np.tril(x.T @ (x if scale is None else x / scale[:, None]))
+            got = _lower_gram(x.copy(), scale)
+            assert np.abs(np.triu(got, 1)).max(initial=0.0) == 0.0
+            assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
 
     @pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 130])
     def test_blocked_inversions(self, n):
@@ -294,8 +296,9 @@ def test_unit_lower_inverse_reuses_kernel_blocks(n):
     for a in (_spd(rng, n), _indefinite(rng, n)):
         l, _, blocks = _ldl_nopiv_blocked(a.copy())
         assert len(blocks) == (n - 1) // 64
-        got = _unit_lower_inverse(l, blocks)
-        np.testing.assert_array_equal(got, _unit_lower_inverse(l))
+        # _unit_lower_inverse overwrites its input, so each call gets a copy.
+        got = _unit_lower_inverse(l.copy(), blocks)
+        np.testing.assert_array_equal(got, _unit_lower_inverse(l.copy()))
         want = np.linalg.inv(l + np.eye(n))
         assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
         assert np.abs(np.triu(got, 1)).max(initial=0.0) == 0.0

@@ -243,6 +243,15 @@ class TestVerify:
         assert all(line.startswith("ok") for line in lines[:-1])
 
 
+@pytest.mark.parametrize("argv", [["bench", "--experiment", "1", "--sizes", "5"],
+                                  ["verify", "--max-n", "3"]], ids=["bench", "verify"])
+def test_negative_seed_is_a_package_error(argv, capsys):
+    assert main(argv + ["--seed", "-10"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "syminv: error: seed must be non-negative, got -10\n"
+    assert captured.out == ""
+
+
 def test_no_command_is_usage_error(capsys):
     with pytest.raises(SystemExit) as err:
         main([])

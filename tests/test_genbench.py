@@ -47,6 +47,11 @@ class TestFamilies:
         with pytest.raises(InvalidArgument):
             MatrixFamily("diag_dominant", n, seed)
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(InvalidArgument, match="seed must be non-negative, got -1"):
+            MatrixFamily("diag_dominant", 4, -1)
+        assert MatrixFamily("diag_dominant", 4, 0).seed == 0
+
     def test_integral_floats_become_ints(self):
         fam = MatrixFamily("diag_dominant", 4.0, np.int64(2))
         assert (fam.n, fam.seed) == (4, 2) and type(fam.n) is type(fam.seed) is int
@@ -185,6 +190,18 @@ class TestRunExperiment:
         with pytest.raises(InvalidArgument, match="must be an integer"):
             run_experiment(**args)
 
+    def test_negative_seed_rejected_before_any_work(self, monkeypatch):
+        # seed + n would be a valid seed; the seed itself is still rejected.
+        monkeypatch.setattr(genbench, "generate", lambda family: pytest.fail("ran"))
+        with pytest.raises(InvalidArgument, match="seed must be non-negative, got -10"):
+            run_experiment(1, sizes=[100], methods=["v2"], seed=-10)
+
+    def test_bare_method_name_is_one_method(self):
+        reports = run_experiment(1, sizes=[5, 6], methods="v2")
+        assert [r.method for r in reports] == ["v2", "v2"]
+        with pytest.raises(InvalidArgument, match="unknown method 'v';"):
+            run_experiment(1, sizes=[5], methods="v")
+
     def test_integral_floats_run_as_ints(self):
         (rep,) = run_experiment(1.0, sizes=[6.0], methods=["v2"], seed=np.int64(3))
         assert rep.family == MatrixFamily("diag_dominant", 6, 9)
@@ -281,6 +298,12 @@ def test_run_verification_small():
 def test_run_verification_applies_the_integer_rule(bad):
     with pytest.raises(InvalidArgument, match="must be an integer"):
         run_verification(**bad)
+
+
+def test_run_verification_rejects_a_negative_seed(monkeypatch):
+    monkeypatch.setattr(genbench, "generate", lambda family: pytest.fail("ran"))
+    with pytest.raises(InvalidArgument, match="seed must be non-negative, got -10"):
+        run_verification(max_n=3, seed=-10)
 
 
 def test_run_verification_takes_integral_floats():
