@@ -38,10 +38,13 @@ factor was made in (Cholesky's in its forward solve's B, km's in the
 unit factor its factor keeps beside L).  The LDL^T factor and the unit-lower inverse of the LDL and
 Krishnamoorthy-Menon inversions run by 64-column blocks, each a matrix
 product; the Cholesky factor runs on the same LDL^T kernel, with
-Cholesky's pivot test, and scales its columns by sqrt(d).  The back
-solves of LDL and Cholesky are evaluated as that recombination
-product; their counts are still the per-row models above, each phase
-added as one sum.  The one row-by-row solve left is Cholesky's forward
+Cholesky's pivot test, and scales its columns by sqrt(d).  The kernel's
+column loop on each 64 x 64 diagonal block is compiled (``_loops.c``,
+built at import); it is elementwise and never fuses a multiply-add, so
+each entry a - l c is rounded twice, as numpy's array arithmetic
+rounds it.  The back solves of LDL and Cholesky are evaluated as that
+recombination product; their counts are still the per-row models
+above, each phase added as one sum.  The one row-by-row solve left is Cholesky's forward
 solve: it keeps the Cholesky inversion a classical baseline for v2 to
 be timed against (see ``invert_cholesky``).
 """
@@ -52,8 +55,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import _loops
 from .errors import NotPositiveDefinite, ZeroPivot
-from .matcore import _BLOCK, _checked_symmetric, _finite_inverse, _mirror, _tally
+from .matcore import _BLOCK, _checked_symmetric, _finite_inverse, _fp_context, _mirror, _tally
 from .modgauss import default_pivot_tol
 
 
@@ -84,6 +88,7 @@ class LdlFactor:
     _blocks: tuple = field(default=(), repr=False, compare=False)
 
 
+@_fp_context
 def cholesky_factor(a, counter=None) -> CholFactor:
     """Factor a symmetric positive definite matrix as L L^T.
 
@@ -105,6 +110,7 @@ def cholesky_factor(a, counter=None) -> CholFactor:
     return CholFactor(l=l, _unit=unit, _blocks=tuple(blocks))
 
 
+@_fp_context
 def invert_cholesky(a, counter=None) -> np.ndarray:
     """Invert a symmetric positive definite matrix via its Cholesky factor.
 
@@ -200,9 +206,11 @@ def _ldl_nopiv_blocked(a, cholesky=False):
 
     Right-looking by 64-column panels; overwrites *a*, the caller's
     private checked copy.  The column loop runs on the panel's diagonal
-    block only.  The rows below it are W = A21 M11^T (M11 the block's
-    unit-lower inverse) and L21 = W / d, and the trailing matrix takes
-    L21 W^T in its lower part only, one 64-column block at a time.
+    block only, compiled (``_loops.ldl_block``), and updates the lower
+    triangle that later columns read.  The rows below it are
+    W = A21 M11^T (M11 the block's unit-lower inverse) and L21 = W / d,
+    and the trailing matrix takes L21 W^T in its lower part only, one
+    64-column block at a time.
     Pivot j, the ratio of the leading (j+1)- and j-minors, is judged
     against the one threshold tol = ``default_pivot_tol(a)``: it raises
     ZeroPivot(j) when |pivot j| <= tol, or with *cholesky*
@@ -218,15 +226,9 @@ def _ldl_nopiv_blocked(a, cholesky=False):
     blocks = []
     for s in range(0, n, _BLOCK):
         e = min(s + _BLOCK, n)
-        for j in range(s, e):
-            dj = float(a[j, j])
-            if lo <= dj <= tol:
-                raise reject(j)
-            d[j] = dj
-            col = a[j + 1:e, j]
-            lj = col / dj
-            a[j + 1:e, j + 1:e] -= lj[:, None] * col
-            col[:] = lj
+        j = _loops.ldl_block(a, s, e, d, lo, tol)
+        if j >= 0:
+            raise reject(j)
         if e < n:
             blocks.append(_unit_lower_inverse(a[s:e, s:e].copy()))
             w21 = a[e:, s:e] @ blocks[-1].T
@@ -240,6 +242,7 @@ def _ldl_nopiv_blocked(a, cholesky=False):
     return a, d, blocks
 
 
+@_fp_context
 def ldl_factor(a, counter=None) -> LdlFactor:
     """Factor a symmetric matrix as L D L^T with unit lower-triangular L.
 
@@ -257,6 +260,7 @@ def ldl_factor(a, counter=None) -> LdlFactor:
     return LdlFactor(l=l, d=d, _blocks=tuple(blocks))
 
 
+@_fp_context
 def invert_ldl(a, counter=None) -> np.ndarray:
     """Invert a symmetric matrix via L D L^T, square-root-free.
 
@@ -281,6 +285,7 @@ def invert_ldl(a, counter=None) -> np.ndarray:
                          + sum((n - 1 - i) * (i + 1) for i in range(n)))
 
 
+@_fp_context
 def invert_km(a, counter=None) -> np.ndarray:
     """Invert a symmetric positive definite matrix the Krishnamoorthy-Menon way.
 

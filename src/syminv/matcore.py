@@ -12,6 +12,7 @@ caller's array, convert it with ``_real``, the one real-number rule.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -61,17 +62,19 @@ def as_integer(value, what: str) -> int:
 
 
 def _real(data, copy=False) -> np.ndarray:
-    """*data* as a float64 array, copied if *copy*: the one real-number input rule.
+    """*data* as a C-contiguous float64 array, copied if *copy*: the one real-number input rule.
 
     Complex input raises InvalidArgument rather than losing its
     imaginary part, and so does input numpy cannot convert, such as a
-    ragged list or a non-numeric string.  A float64 array is returned
-    as it is, with no pass over its entries, unless *copy* is set.
+    ragged list or a non-numeric string.  A C-contiguous float64 array
+    is returned as it is, with no pass over its entries, unless *copy*
+    is set; any other layout is copied, so the compiled loops, which
+    index rows, can take what it returns.
     """
     try:
         a = np.asarray(data)
         if a.dtype.kind != "c":
-            return a.astype(np.float64, copy=copy)
+            return a.astype(np.float64, order="C", copy=copy)
     except (TypeError, ValueError) as exc:
         raise InvalidArgument(f"entries must be real numbers: {exc}") from None
     raise InvalidArgument("entries must be real numbers, got complex input")
@@ -100,6 +103,23 @@ class SymmetryCheck:
     def passes(self, a) -> bool:
         a = _real(a)
         return a.ndim == 2 and bool(np.array_equal(a, a.T))
+
+
+def _fp_context(func):
+    """*func* run under the package's one floating-point context.
+
+    Every public routine that computes an inverse, a factor or an
+    elimination is wrapped: inside it numpy neither warns nor raises on
+    a floating-point condition, whatever the caller's ``np.errstate``,
+    as the compiled loops never do.  So a call completes the same phases
+    and counts them in every mode, and an overflowing result reaches
+    ``_finite_inverse``, its one judge.
+    """
+    @functools.wraps(func)
+    def run(*args, **kwargs):
+        with np.errstate(all="ignore"):
+            return func(*args, **kwargs)
+    return run
 
 
 def _checked_symmetric(a) -> np.ndarray:
@@ -228,6 +248,7 @@ def norm2_estimate(m) -> float:
     return est
 
 
+@_fp_context
 def mirror_lower(f) -> np.ndarray:
     """Symmetric matrix built from the lower triangle of *f* (diagonal kept).
 

@@ -32,6 +32,14 @@ for a swap.  A run of at most 64 steps is one panel with no other rows
 and P = A, so it is the stepwise arithmetic exactly; ``eliminate_step``
 always runs one step on every active row.
 
+The step itself, and a panel's loop over its steps on C and P, are
+compiled loops (``_loops.c``, built at import): the multipliers, the
+pivot test, the profile-keeping swap, the reciprocal and the rank-one
+update, with each multiplier summed in index order and each update
+rounded as the scalar transcription of the elimination rounds it, so
+a stepwise run is that transcription's arithmetic bit for bit.  The
+products between panels stay matrix products in numpy.
+
 A swap at step k with row j exchanges rows k and j of a working copy
 of A and the pivoted parts F[k, :k] and F[j, :k], and logs (k, j).
 Every row keeps its profile, and the row identities now hold against
@@ -64,11 +72,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _loops
 from .errors import DimensionMismatch, InvalidArgument, SingularMatrix, ZeroPivot
 from .matcore import (
     _BLOCK,
     RequiredSet,
     _finite_inverse,
+    _fp_context,
     _real,
     _tally,
     _validated,
@@ -126,56 +136,20 @@ def _step_cost(m, k) -> int:
 def _run_step(a, f, k, rows, pivot_tol, allow_swaps, swaps) -> None:
     """Apply elimination step k to f in place; the caller counts it.
 
-    rows holds the sorted indices of the rows to update: the active rows,
-    or in the panel driver the live rows of the panel's C against P;
-    either way every row from k to rows[-1].  A swap with row j
-    exchanges rows k and j of the working copy a and the pivoted parts
+    rows holds the sorted indices of the rows to update, the active
+    rows: the required rows above k and every row from k on.  The
+    compiled step sums each multiplier in index order.  A swap with row
+    j exchanges rows k and j of the working copy a and the pivoted parts
     f[k, :k] and f[j, :k], so every row keeps its profile, and logs
     (k, j) in swaps.  A rejected pivot raises before a or f is touched.
     """
-    acol = a[:, k]
-    m = int(rows.size)
-    lo = int(rows[0])
-    block = int(rows[-1]) - lo + 1 == m  # the rows form one contiguous block
-    if block:
-        idx = slice(lo, lo + m)
-        kpos = k - lo
-    else:
-        idx = rows
-        kpos = int(np.searchsorted(rows, k))
-
-    window = f[idx]
-    d = window[:, :k] @ acol[:k]
-    # Unpivoted rows still hold their identity entry at (i, i), which
-    # contributes 1 * A[i, k]: an uncounted addition, not a multiply.
-    d[kpos:] += acol[k:k + m - kpos]
-
-    g = float(d[kpos])
-    if abs(g) <= pivot_tol:
+    j = _loops.step(a, f, k, rows, pivot_tol, allow_swaps)
+    if j < 0:
         if not allow_swaps:
             raise ZeroPivot(k)
-        # The rejected pivot wins only when no candidate clears the threshold.
-        jrel = kpos + int(np.argmax(np.abs(d[kpos:])))
-        if abs(float(d[jrel])) <= pivot_tol:
-            raise SingularMatrix(
-                f"no usable pivot at elimination step {k}: matrix is singular"
-            )
-        j = int(rows[jrel])
-        a[[k, j]] = a[[j, k]]
-        f[[k, j], :k] = f[[j, k], :k]
-        d[kpos], d[jrel] = float(d[jrel]), g
+        raise SingularMatrix(f"no usable pivot at elimination step {k}: matrix is singular")
+    if j != k:
         swaps.append((k, j))
-        g = float(d[kpos])
-
-    r = 1.0 / g
-    f[k, :k] *= r
-    f[k, k] = r  # the identity entry becomes the reciprocal: no multiply
-
-    # One rank-one update of all the rows, row k included, which then
-    # gets its scaled values back.
-    pivot_row = f[k, :k + 1].copy()
-    f[idx, :k + 1] -= d[:, None] * pivot_row
-    f[k, :k + 1] = pivot_row
 
 
 def _run_panel(a, f, s, mask, pivot_tol, counter, allow_swaps, swaps) -> int:
@@ -197,20 +171,12 @@ def _run_panel(a, f, s, mask, pivot_tol, counter, allow_swaps, swaps) -> int:
     f_s = f[s:e, :e].copy()
 
     # The panel rows stay combinations C F_s[s:e] of their rows before it,
-    # with multipliers C P, P = D[s:e]: the steps run 64 wide on C and P.
+    # with multipliers C P, P = D[s:e]: the steps run 64 wide on C and P,
+    # a row freezing after its own step unless it is required.
     c = np.eye(e - s)
-    rows = np.arange(e - s)  # the live rows
-    stop = e
-    for k in range(s, e):
-        try:
-            _run_step(d_low[:e - s], c, k - s, rows, pivot_tol, False, swaps)
-        except ZeroPivot:
-            if not allow_swaps:
-                raise ZeroPivot(k) from None
-            stop = k
-            break
-        if not mask[k]:  # row k freezes
-            rows = rows[rows != k - s]
+    stop = s + _loops.panel(d_low[:e - s], c, mask[s:e], pivot_tol)
+    if stop < e and not allow_swaps:
+        raise ZeroPivot(stop)
     f[s:e, :e] = c @ f_s
 
     # Every other active row takes the panel's steps s..stop-1 at once,
@@ -252,6 +218,7 @@ def _to_caller(f, swaps) -> None:
         f[:, [k, j]] = f[:, [j, k]]
 
 
+@_fp_context
 def eliminate(a, required=None, counter=None, allow_swaps=True) -> np.ndarray:
     """Run the elimination to completion and return the final F.
 
@@ -278,11 +245,13 @@ def eliminate(a, required=None, counter=None, allow_swaps=True) -> np.ndarray:
     return f
 
 
+@_fp_context
 def invert(a, counter=None, allow_swaps=True) -> np.ndarray:
     """Invert a square matrix; costs exactly n^3 muldiv when no swap occurs."""
     return eliminate(a, None, counter, allow_swaps)
 
 
+@_fp_context
 def solve(a, b, required, counter=None, allow_swaps=True) -> dict[int, float]:
     """Solve A x = b for the required solution components only.
 
@@ -328,13 +297,14 @@ class EliminationState:
         return _active_rows(self.required.mask(self.a.shape[0]), self.step)
 
 
+@_fp_context
 def eliminate_step(state: EliminationState, counter=None, allow_swaps=True) -> EliminationState:
     """Apply one elimination step, returning a new state (input unchanged)."""
     n = state.a.shape[0]
     if state.step >= n:
         raise InvalidArgument(f"elimination already complete after {state.step} steps")
-    a = state.a.copy()
-    f = state.f.copy()
+    a = _real(state.a, copy=True)
+    f = _real(state.f, copy=True)
     swaps = list(state.perm)
     for k, j in swaps:  # into the working coordinates of the run so far
         a[[k, j]] = a[[j, k]]

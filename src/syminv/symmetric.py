@@ -49,6 +49,7 @@ from .matcore import (
     SymmetryCheck,
     _checked_symmetric,
     _finite_inverse,
+    _fp_context,
     _mirror,
     _tally,
     _validated,
@@ -57,6 +58,7 @@ from .matcore import (
 )
 
 
+@_fp_context
 def lower_stage(a, counter=None) -> np.ndarray:
     """Stage one of variant 1: elimination with only the last row required.
 
@@ -70,6 +72,7 @@ def lower_stage(a, counter=None) -> np.ndarray:
     return modgauss.eliminate(a, RequiredSet.trailing(n, 1), counter, allow_swaps=False)
 
 
+@_fp_context
 def complete_lower(f, counter=None) -> np.ndarray:
     """Stage two of variant 1: rank-one completion of the stage-one rows.
 
@@ -90,6 +93,7 @@ def complete_lower(f, counter=None) -> np.ndarray:
     return lower
 
 
+@_fp_context
 def invert_v1_parts(a, counter=None):
     """Variant 1 with its intermediates: (stage-one F, completed F, inverse).
 
@@ -101,6 +105,7 @@ def invert_v1_parts(a, counter=None):
     return stage1, final, _mirror(_finite_inverse(final).copy())
 
 
+@_fp_context
 def invert_v1(a, counter=None) -> np.ndarray:
     """Two-stage square-root-free symmetric inversion.
 
@@ -121,6 +126,7 @@ def _sweep_step_cost(n, k) -> int:
     return n + (2 * (n - k) - 1) * k + k * (k + 1) // 2
 
 
+@_fp_context
 def invert_v2(a, counter=None) -> np.ndarray:
     """Single-sweep square-root-free symmetric inversion.
 
@@ -145,6 +151,7 @@ def invert_v2(a, counter=None) -> np.ndarray:
     return _gram_inverse(m, d, counter, sum(_sweep_step_cost(n, k) for k in range(n)))
 
 
+@_fp_context
 def invert_v2_reference(a, counter=None) -> np.ndarray:
     """Step-by-step single sweep.
 
@@ -232,6 +239,7 @@ def lemma2_check(a, m) -> bool:
     return bool((dev <= 1e-10 * (1.0 + np.abs(expected))).all())
 
 
+@_fp_context
 def invert_symmetric_robust(a, counter=None) -> np.ndarray:
     """Symmetric inversion that survives zero leading minors.
 

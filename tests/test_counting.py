@@ -138,31 +138,31 @@ def _trailing3_solve(a, counter):
     return modgauss.solve(a, np.ones(len(a)), [2, 3, 4], counter)
 
 
-# (muldiv, sqrt) on 1e-310 I at n = 4: under np.errstate(all="raise"),
-# where the first overflow raises FloatingPointError, and in numpy's
-# default mode, where every phase completes and the overflow check
-# raises.  The two factors complete in both modes.
+# (muldiv, sqrt) on 1e-310 I at n = 4: every phase completes and the
+# overflow check raises.  The two factors complete.
 _OVERFLOW_COUNTS = [
-    (baselines.invert_cholesky, (36, 4), (56, 4)),
-    (baselines.invert_ldl, (30, 0), (50, 0)),
-    (baselines.invert_km, (30, 4), (40, 4)),
-    (baselines.ldl_factor, (26, 0), (26, 0)),
-    (baselines.cholesky_factor, (16, 4), (16, 4)),
-    (symmetric.invert_v2, (0, 0), (40, 0)),
-    (symmetric.invert_symmetric_robust, (0, 0), (40, 0)),
-    (symmetric.invert_v1, (0, 0), (30, 0)),
-    (modgauss.invert, (0, 0), (64, 0)),
-    (symmetric.invert_v2_reference, (0, 0), (40, 0)),
-    (symmetric.lower_stage, (0, 0), (30, 0)),
-    (_trailing3_solve, (0, 0), (49, 0)),
+    (baselines.invert_cholesky, (56, 4)),
+    (baselines.invert_ldl, (50, 0)),
+    (baselines.invert_km, (40, 4)),
+    (baselines.ldl_factor, (26, 0)),
+    (baselines.cholesky_factor, (16, 4)),
+    (symmetric.invert_v2, (40, 0)),
+    (symmetric.invert_symmetric_robust, (40, 0)),
+    (symmetric.invert_v1, (30, 0)),
+    (modgauss.invert, (64, 0)),
+    (symmetric.invert_v2_reference, (40, 0)),
+    (symmetric.lower_stage, (30, 0)),
+    (_trailing3_solve, (49, 0)),
 ]
 
 
-@pytest.mark.parametrize("func, raised, default", _OVERFLOW_COUNTS,
-                         ids=[f.__name__ for f, _, _ in _OVERFLOW_COUNTS])
+@pytest.mark.parametrize("func, counts", _OVERFLOW_COUNTS,
+                         ids=[f.__name__ for f, _ in _OVERFLOW_COUNTS])
 class TestOverflowMidRun:
-    """Every phase is counted after its arithmetic, so an overflow that
-    raises inside a phase leaves only the phases before it counted."""
+    """Every phase is counted after its arithmetic, and every call runs
+    under the package's one floating-point context, so an overflow
+    neither raises inside a phase nor changes the count, whatever the
+    caller's numpy mode: the overflow check raises once they are done."""
 
     @staticmethod
     def _raises_unless_a_factor(func, *args, **kwargs):
@@ -170,19 +170,13 @@ class TestOverflowMidRun:
             return contextlib.nullcontext()
         return pytest.raises(*args, **kwargs)
 
-    def test_floating_point_errors_count_the_completed_phases(self, func, raised, default):
-        cnt = OpCounter()
-        with np.errstate(all="raise"), self._raises_unless_a_factor(func, FloatingPointError):
-            func(1e-310 * np.eye(4), cnt)
-        assert (cnt.muldiv, cnt.sqrt) == raised
-
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_default_mode_counts_every_phase(self, func, raised, default):
-        cnt = OpCounter()
-        with self._raises_unless_a_factor(func, InvalidArgument,
-                                          match="the inverse overflows float64"):
-            func(1e-310 * np.eye(4), cnt)
-        assert (cnt.muldiv, cnt.sqrt) == default
+    def test_default_mode_counts_every_phase(self, func, counts):
+        for mode in ("warn", "raise"):
+            cnt = OpCounter()
+            with np.errstate(all=mode), self._raises_unless_a_factor(
+                    func, InvalidArgument, match="the inverse overflows float64"):
+                func(1e-310 * np.eye(4), cnt)
+            assert (cnt.muldiv, cnt.sqrt) == counts, mode
 
 
 class TestCallsPerRun:
@@ -297,6 +291,22 @@ class TestExecutionCounts:
         if kind == "zero_leading_minor":  # that count includes one swap, at step 0
             with pytest.raises(PivotRejected, match="step 0"):
                 eliminate_scalar(a, set(range(n)), Tally(), allow_swaps=False)
+
+    def test_elimination_steps_are_the_transcription_bitwise(self, kind, n):
+        # The compiled step sums each multiplier in index order, as the
+        # transcription does, so a stepwise run is its arithmetic bit for
+        # bit, swaps included.  So is eliminate when its run is one panel
+        # with no swap: zero_leading_minor swaps at step 0, which cuts
+        # the panel and leaves the rest to a second one.
+        a = generate(MatrixFamily(kind, n, 3))
+        for required in (range(1, n + 1), [n]):
+            want = eliminate_scalar(a, {i - 1 for i in required}, Tally())
+            state = modgauss.EliminationState.start(a, required)
+            while state.step < n:
+                state = modgauss.eliminate_step(state)
+            assert state.f.tobytes() == want.tobytes()
+            if kind != "zero_leading_minor":
+                assert modgauss.eliminate(a, required).tobytes() == want.tobytes()
 
     def test_lower_stage(self, kind, n):
         a = generate(MatrixFamily(kind, n, 3))
