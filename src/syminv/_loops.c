@@ -1,4 +1,5 @@
-/* The package's compiled loops, bound through ctypes by _loops.py.
+/* The package's compiled loops and its CSV parser, bound through ctypes
+ * by _loops.py.
  *
  * Every matrix is a row-major float64 array whose row length is passed
  * beside it; the Python wrappers check dtype, contiguity and bounds
@@ -8,7 +9,9 @@
  * operations and the scalar transcriptions in tests/oracles.py do.
  */
 
+#include <float.h>
 #include <math.h>
+#include <stdlib.h>
 #include <string.h>
 
 /* The LDL^T column loop on the diagonal block [s, e) of the n x n matrix
@@ -117,4 +120,118 @@ long syminv_panel(double *p, double *c, long m, const unsigned char *keep,
         }
     }
     return m;
+}
+
+/* Powers of ten that a 64-bit mantissa holds exactly: 5^27 < 2^64. */
+static const long double p10[] = {
+    1e0L, 1e1L, 1e2L, 1e3L, 1e4L, 1e5L, 1e6L, 1e7L, 1e8L, 1e9L, 1e10L,
+    1e11L, 1e12L, 1e13L, 1e14L, 1e15L, 1e16L, 1e17L, 1e18L, 1e19L, 1e20L,
+    1e21L, 1e22L, 1e23L, 1e24L, 1e25L, 1e26L, 1e27L};
+#define P10_MAX ((long)(sizeof p10 / sizeof *p10) - 1)
+
+static int is_digit(const char *p, const char *end)
+{
+    return p < end && (unsigned char)(*p - '0') < 10;
+}
+
+/* The float64 nearest the JSON number that starts at s, before end, to
+ * *v.  Returns the byte after the number, or NULL, leaving *v unset, if
+ * none starts there or its value overflows.  A value of at most 19
+ * significant digits w with a decimal exponent q, |q| <= P10_MAX, is
+ * w * 10^q in long double, one correctly rounded operation (Clinger
+ * 1990), then rounded to double.  That second rounding is exact unless
+ * the first landed on a midpoint m of two doubles, the case where
+ * m + (m - d) is the double beyond m; it goes to strtod with every
+ * other value.  strtod must take the number whole, so a locale whose
+ * decimal point is not '.' refuses instead of misreading. */
+static const char *parse_number(const char *s, const char *end, double *v)
+{
+    const char *p = s;
+    int neg = p < end && *p == '-';
+    unsigned long long w = 0;  /* wraps past 19 digits, which then go to strtod */
+    long digits = 0, q = 0;
+    p += neg;
+    if (!is_digit(p, end))
+        return NULL;
+    if (*p == '0')
+        p++;
+    else
+        for (; is_digit(p, end); p++, digits++)
+            w = 10 * w + (unsigned)(*p - '0');
+    if (p < end && *p == '.') {
+        if (!is_digit(++p, end))
+            return NULL;
+        const char *f = p;
+        if (!digits)  /* zeros ahead of the first digit are not significant */
+            while (p < end && *p == '0')
+                p++;
+        const char *g = p;
+        for (; is_digit(p, end); p++)
+            w = 10 * w + (unsigned)(*p - '0');
+        digits += p - g;
+        q -= p - f;
+    }
+    if (p < end && (*p == 'e' || *p == 'E')) {
+        int eneg = ++p < end && *p == '-';
+        long e = 0;
+        p += p < end && (*p == '-' || *p == '+');
+        if (!is_digit(p, end))
+            return NULL;
+        for (; is_digit(p, end); p++)
+            if (e < 100000)  /* far past any float64 exponent, and no overflow */
+                e = 10 * e + (*p - '0');
+        q += eneg ? -e : e;
+    }
+    if (LDBL_MANT_DIG >= 64 && digits <= 19 && -P10_MAX <= q && q <= P10_MAX) {
+        long double r = q < 0 ? (long double)w / p10[-q] : (long double)w * p10[q];
+        double d = (double)r;
+        long double beyond = r + (r - d);
+        if (r == d || beyond != (double)beyond) {
+            *v = neg ? -d : d;
+            return p;
+        }
+    }
+    char cell[128], *stop;
+    if (p - s >= (long)sizeof cell)
+        return NULL;
+    memcpy(cell, s, (size_t)(p - s));
+    cell[p - s] = '\0';
+    *v = strtod(cell, &stop);
+    return stop == cell + (p - s) && isfinite(*v) ? p : NULL;
+}
+
+/* The LF-terminated rows of text[0, len) (the last row's LF may be
+ * missing), each of width comma-separated JSON numbers with spaces or
+ * tabs around them, to out, at most cap values.  Empty lines are
+ * skipped.  Returns the number of values written, or -1 for a row of
+ * another width, any other text, a value strtod overflows, or a value
+ * past cap. */
+long syminv_parse_csv(const char *text, long len, double *out, long cap, long width)
+{
+    const char *p = text, *end = text + len;
+    long filled = 0;
+    while (p < end) {
+        if (*p == '\n') {
+            p++;
+            continue;
+        }
+        for (long cells = 1;; cells++) {
+            while (p < end && (*p == ' ' || *p == '\t'))
+                p++;
+            if (filled == cap || !(p = parse_number(p, end, out + filled)))
+                return -1;
+            filled++;
+            while (p < end && (*p == ' ' || *p == '\t'))
+                p++;
+            if (p == end || *p == '\n') {
+                if (cells != width)
+                    return -1;
+                break;
+            }
+            if (*p++ != ',' || cells == width)
+                return -1;
+        }
+        p += p < end;  /* the row's LF */
+    }
+    return filled;
 }

@@ -1,4 +1,4 @@
-"""The compiled loops of ``_loops.c``, built once per user and bound through ctypes.
+"""The compiled loops and CSV parser of ``_loops.c``, built once per user and bound through ctypes.
 
 Importing this module loads ``syminv-<uid>/loops-<crc>.so`` from
 ``tempfile.gettempdir()``, where crc is the CRC-32 of the C source and
@@ -76,7 +76,8 @@ def _load() -> ctypes.CDLL:
     lng, dbl, ptr = ctypes.c_long, ctypes.c_double, ctypes.c_void_p
     for name, args in (("ldl_block", (ptr, lng, lng, lng, ptr, dbl, dbl)),
                        ("step", (ptr, lng, ptr, lng, lng, ptr, lng, ptr, dbl, ctypes.c_int)),
-                       ("panel", (ptr, ptr, lng, ptr, ptr, ptr, dbl))):
+                       ("panel", (ptr, ptr, lng, ptr, ptr, ptr, dbl)),
+                       ("parse_csv", (ctypes.c_char_p, lng, ptr, lng, lng))):
         func = getattr(lib, f"syminv_{name}")
         func.argtypes, func.restype = args, lng
     return lib
@@ -133,3 +134,16 @@ def panel(p, c, keep, tol) -> int:
     rows, d = np.empty(m, _LONG), np.empty(m)
     return _lib.syminv_panel(_ptr(p), _ptr(c), m, _ptr(keep, np.bool_, 1),
                              _ptr(rows, _LONG, 1), _ptr(d, ndim=1), tol)
+
+
+def parse_csv(text, end, out, width) -> int:
+    """Parse the rows of ``text[:end]``, each of *width* JSON numbers, into *out*.
+
+    *text* is bytes of LF-terminated rows; the last row's LF may be
+    missing.  Returns the number of values written to the 1-D *out*, or
+    -1 when a row has another width, a byte or a number form is not
+    taken, a value overflows, or the values do not fit in *out*.
+    """
+    if not (isinstance(text, bytes) and 0 <= end <= len(text) and width > 0):
+        raise ValueError("parse_csv: text or width out of range")
+    return _lib.syminv_parse_csv(text, end, _ptr(out, ndim=1), out.size, width)

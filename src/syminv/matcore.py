@@ -108,12 +108,12 @@ class SymmetryCheck:
 def _fp_context(func):
     """*func* run under the package's one floating-point context.
 
-    Every public routine that computes an inverse, a factor or an
-    elimination is wrapped: inside it numpy neither warns nor raises on
-    a floating-point condition, whatever the caller's ``np.errstate``,
-    as the compiled loops never do.  So a call completes the same phases
-    and counts them in every mode, and an overflowing result reaches
-    ``_finite_inverse``, its one judge.
+    Every public routine that computes an inverse, a factor, an
+    elimination or a norm or residual check is wrapped: inside it numpy
+    neither warns nor raises on a floating-point condition, whatever the
+    caller's ``np.errstate``, as the compiled loops never do.  So a call
+    completes the same phases and counts them in every mode, and an
+    overflowing result reaches ``_finite_inverse``, its one judge.
     """
     @functools.wraps(func)
     def run(*args, **kwargs):
@@ -214,10 +214,20 @@ class RequiredSet:
         return iter(self.indices)
 
 
+@_fp_context
 def frobenius_norm(m) -> float:
-    """Square root of the sum of squared entries."""
+    """Square root of the sum of squared entries.
+
+    The entries are scaled by the largest magnitude before they are
+    squared, so the result neither overflows nor underflows unless the
+    norm itself does.  A non-finite entry gives inf, or NaN for a NaN.
+    """
     m = _real(m)
-    return float(math.sqrt(float((m * m).sum())))
+    scale = float(np.abs(m).max(initial=0.0))
+    if not 0.0 < scale < math.inf:
+        return scale
+    m = m / scale
+    return scale * math.sqrt(float((m * m).sum()))
 
 
 def norm2_estimate(m) -> float:
@@ -283,11 +293,14 @@ def _finite_inverse(f) -> np.ndarray:
     inverse overflows float64.  Each method makes this one finiteness
     pass over its result.
     """
-    if not np.isfinite(f).all():
-        raise InvalidArgument("the inverse overflows float64")
+    # By row blocks, so that the test's boolean temporary is one block's.
+    for s in range(0, f.shape[0], _BLOCK):
+        if not np.isfinite(f[s:s + _BLOCK]).all():
+            raise InvalidArgument("the inverse overflows float64")
     return f
 
 
+@_fp_context
 def inverse_residual(a, inv) -> float:
     """Frobenius norm of ``a @ inv - I`` (not an instrumented operation).
 

@@ -4,112 +4,97 @@ CSV files carry one matrix row per line, LF-terminated, with no header.
 Each entry is written with the shortest decimal digits that read back as
 the same float64 (the digits of Python's ``repr``), so a write followed
 by a read reproduces the matrix bit for bit.  The writer formats in C
-with ``orjson`` (Ryu) and streams 128 rows at a time, so it never holds
-the whole text.  It spells entries in fixed notation for
-1e-5 <= |v| < 1e16 and otherwise as ``1e-7`` or ``1.5e16``, with no
-``+`` sign and no zero padding in the exponent.  Non-finite entries are
-rejected before any text is written.
+with ``orjson`` (Ryu), one row per call, and streams each row as it is
+made, so it never holds the whole text.  It spells entries in fixed
+notation for 1e-5 <= |v| < 1e16 and otherwise as ``1e-7`` or
+``1.5e16``, with no ``+`` sign and no zero padding in the exponent.
+Non-finite entries are rejected before any text is written.
 
 The reader has two paths with one result.  A plain file, which is what
-the writer makes, is parsed in C by ``orjson`` (correctly rounded), 128
-lines per call: each block of non-empty lines is read as the JSON array
-of its rows.  A plain file holds only digits, ``.eE+-``, commas, spaces,
-tabs and LF, in equal rows of JSON numbers and empty lines, and never
-spells a zero as the integer ``-0``, which orjson reads as ``0``
-(``-0.0`` keeps its sign on both paths).  Every other file is read by
-``numpy.loadtxt``: it also accepts quoted cells, CRLF line ends and
-number forms JSON lacks (``+1``, ``.5``, ``1.``, ``01``), but only the
-decimal literals NumPy parses, so Python-only forms such as ``1_0`` are
-rejected with an ``InvalidArgument`` that names the path.  The orjson
-path gives up at the first block it cannot take, and loadtxt then reads
-the whole file.
+the writer makes, is parsed by the package's compiled parser
+(``_loops.parse_csv``, correctly rounded) in blocks of whole lines
+straight into the matrix, so it never holds the whole text either.  A
+plain file holds equal rows of JSON numbers separated by commas, with
+spaces or tabs around them, LF line ends and empty lines.  Every other
+file is read by ``numpy.loadtxt``: it also accepts quoted cells, CRLF
+line ends and number forms JSON lacks (``+1``, ``.5``, ``1.``, ``01``),
+but only the decimal literals NumPy parses, so Python-only forms such as
+``1_0`` are rejected with an ``InvalidArgument`` that names the path.
+The compiled path gives up at the first block it cannot take, and
+loadtxt then reads the whole file.
 
 Matrix Market files go through ``scipy.io`` and may use either the
 ``array`` or the ``coordinate`` layout; coordinate files (including
 ``symmetric`` ones) are expanded to dense on read.  SciPy is imported
 only when a Matrix Market file is read or written, and orjson only when
-a CSV file is read or CSV text is written.
+CSV text is written.
 """
 
 from __future__ import annotations
 
 import os
 import re
-from itertools import islice
+import stat
 
 import numpy as np
 
+from . import _loops
 from .errors import InvalidArgument
 from .matcore import _validated
 
-# Rows formatted or parsed per orjson call: enough to amortise the call, and
-# a fixed number of rows of text in flight rather than the whole matrix's.
-_ROWS = 128
+# Bytes read per block: enough to amortise the call into C, and a fixed
+# amount of text in flight rather than the whole file's.
+_BLOCK = 1 << 20
 
-# The bytes of a plain CSV file: JSON's number characters, the delimiter,
-# and JSON's whitespace except CR (``5.0\r\t`` is a JSON row but a loadtxt
-# error).  A file with any other byte goes to loadtxt.
-_PLAIN = b"0123456789.eE+-, \t\n"
-
-# orjson reads the integer -0 as 0, where loadtxt keeps the sign; every
-# other spelling of a zero keeps its sign on both paths.
-_INT_MINUS_ZERO = re.compile(rb"-0(?![.eE0-9])")
+# The first non-empty line, whose cells set the matrix's order.
+_FIRST_ROW = re.compile(rb"\n*([^\n]+)")
 
 
 def csv_lines(a):
-    """Yield the CSV text of the finite square matrix *a*, _ROWS whole rows at a time.
+    """Yield the CSV text of the finite square matrix *a*, one LF-terminated row at a time.
 
-    Each chunk is a str of LF-terminated lines.  orjson prints a C-contiguous
-    block as ``[[r0],[r1],...]``, so stripping the outer brackets and
-    splitting at ``],[`` leaves the rows.
+    orjson prints a row as ``[v0,v1,...]``, so dropping the brackets
+    leaves the row's cells.
     """
     import orjson
 
     a = np.ascontiguousarray(_validated(a))
-    for s in range(0, a.shape[0], _ROWS):
-        # One expression, so that no block's bytes outlive the step that uses them.
-        yield (orjson.dumps(a[s:s + _ROWS], option=orjson.OPT_SERIALIZE_NUMPY)[2:-2]
-               .replace(b"],[", b"\n").decode("ascii") + "\n")
+    for row in a:
+        yield orjson.dumps(row, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].decode("ascii") + "\n"
 
 
 def _read_plain_csv(path):
-    """Parse a plain CSV file in C with orjson, _ROWS lines per call.
+    """Parse a plain CSV file in C, one block of whole lines per call.
 
-    Each block of non-empty lines becomes the JSON text
-    ``[[line],[line],...]``.  Returns None, and so leaves the file to
-    ``loadtxt``, at the first block that holds a byte outside _PLAIN, is
-    not equal rows of JSON numbers, or spells a zero as the integer ``-0``,
-    and for a file without entries.  Only rows that parsed to a zero are
-    searched for ``-0``.
+    The first non-empty line's cells give the order n, and the values go
+    straight into one n x n array.  Returns None, and so leaves the file
+    to ``loadtxt``, when the compiled parser refuses a block, when the
+    rows are not n, and when a regular file is too short to hold n rows
+    of n cells, which keeps a long first line from allocating n^2.
     """
-    import orjson
-
-    blocks = []
     with open(path, "rb") as fh:
-        while chunk := list(islice(fh, _ROWS)):
-            # loadtxt skips empty lines, so a trailing one must not cost a fallback.
-            if not (lines := [line for line in chunk if line != b"\n"]):
-                continue
-            if any(line.translate(None, _PLAIN) for line in lines):
-                return None
-            # Bracket the end lines rather than the joined block: one copy of
-            # the block's text instead of three.
-            lines[0] = b"[[" + lines[0]
-            lines[-1] += b"]]"
-            try:
-                block = np.array(orjson.loads(b"],[".join(lines)), dtype=np.float64)
-            except ValueError:
-                return None
-            if not block.size:
-                return None
-            zero_rows = np.flatnonzero(~block.all(axis=1))
-            if any(_INT_MINUS_ZERO.search(lines[i]) for i in zero_rows):
-                return None
-            blocks.append(block)
-    try:
-        return np.concatenate(blocks)
-    except ValueError:  # no lines, or blocks of different widths
-        return None
+        st = os.fstat(fh.fileno())
+        out, filled, tail = None, 0, b""
+        while True:
+            # A line longer than a block doubles the read, so it costs
+            # linear time, not quadratic.
+            data = fh.read(max(_BLOCK, len(tail)))
+            text = tail + data
+            end = text.rfind(b"\n") + 1 if data else len(text)
+            tail = text[end:]
+            if out is None and (row := _FIRST_ROW.match(text, 0, end)):
+                n = row[1].count(b",") + 1
+                # n rows of n cells take 2n^2 - 1 bytes at least.
+                if stat.S_ISREG(st.st_mode) and 2 * n * n - 1 > st.st_size:
+                    return None
+                out = np.empty((n, n))
+            if out is not None:
+                got = _loops.parse_csv(text, end, out.reshape(-1)[filled:], n)
+                if got < 0:
+                    return None
+                filled += got
+            if not data:
+                return out if out is not None and filled == out.size else None
 
 
 def read_csv_matrix(path) -> np.ndarray:

@@ -316,6 +316,7 @@ def eliminate_step(state: EliminationState, counter=None, allow_swaps=True) -> E
     return dataclasses.replace(state, f=f, step=state.step + 1, perm=tuple(swaps))
 
 
+@_fp_context
 def row_identities_check(a, f_final, required=None) -> bool:
     """Check F[i] @ A[:, j] == delta_ij for every required row i, all j.
 

@@ -18,9 +18,10 @@ from syminv import (
     inverse_residual,
     mirror_lower,
     norm2_estimate,
+    row_identities_check,
     solve,
 )
-from syminv.matcore import _validated, as_integer
+from syminv.matcore import _finite_inverse, _validated, as_integer
 
 
 class TestAsMatrix:
@@ -238,6 +239,36 @@ def test_frobenius_norm():
     a = np.array([[3.0, 0.0], [4.0, 0.0]])
     assert frobenius_norm(a) == pytest.approx(5.0)
     assert frobenius_norm(np.zeros((3, 3))) == 0.0
+
+
+@pytest.mark.parametrize("scale", [1e200, 1e-200])
+def test_frobenius_norm_neither_overflows_nor_underflows(scale):
+    assert frobenius_norm(np.full((2, 2), scale)) == 2 * scale
+
+
+def _huge_entry_checks():
+    a = np.full((2, 2), 1e200)
+    return frobenius_norm(a), inverse_residual(a, np.eye(2)), row_identities_check(a, a)
+
+
+def test_a_finite_norm_keeps_the_checks_honest():
+    # a @ a overflows, so no tolerance scaled by a's norm may pass it.
+    assert _huge_entry_checks() == (2e200, 2e200, False)
+
+
+def test_the_checks_ignore_the_callers_floating_point_mode():
+    want = _huge_entry_checks()
+    with np.errstate(all="raise"):
+        assert _huge_entry_checks() == want
+
+
+@pytest.mark.parametrize("at", [0, 63, 64, 129])
+def test_finite_inverse_checks_every_row_block(at):
+    f = np.ones((130, 130))
+    assert _finite_inverse(f) is f
+    f[at, -1] = np.inf
+    with pytest.raises(InvalidArgument, match="the inverse overflows float64"):
+        _finite_inverse(f)
 
 
 class TestNorm2Estimate:

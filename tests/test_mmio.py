@@ -1,6 +1,7 @@
 """Matrix file I/O: CSV and Matrix Market round-trips."""
 
 import io
+import math
 import warnings
 from decimal import Decimal
 
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 from syminv import (
     InvalidArgument,
     LinAlgError,
+    _loops,
     genbench,
     invert_v2,
     mmio,
@@ -175,7 +177,7 @@ def test_csv_keeps_signed_zeros(tmp_path, monkeypatch):
     assert "".join(csv_lines(a)) == "1.0,0.0\n-0.0,1.0\n"
     path = tmp_path / "z.csv"
     write_csv_matrix(str(path), a)
-    monkeypatch.setattr(np, "loadtxt", _no_loadtxt)  # -0.0 keeps its sign in orjson
+    monkeypatch.setattr(np, "loadtxt", _no_loadtxt)  # -0.0 keeps its sign on the compiled path
     back = read_csv_matrix(str(path))
     np.testing.assert_array_equal(np.signbit(back), np.signbit(a))
 
@@ -228,7 +230,7 @@ def test_csv_blocks_join_at_every_row_count(tmp_path, monkeypatch, n, layout):
     text = path.read_text()
     _assert_same_text(text, _naive_csv(a))
     assert "".join(csv_lines(a)) == text
-    monkeypatch.setattr(np, "loadtxt", _no_loadtxt)  # the writer's files take the orjson path
+    monkeypatch.setattr(np, "loadtxt", _no_loadtxt)  # the writer's files take the compiled path
     back = read_csv_matrix(str(path))
     np.testing.assert_array_equal(back.view(np.int64), a.view(np.int64))
 
@@ -296,8 +298,6 @@ def test_plain_csv_dialects_stay_on_the_orjson_path(tmp_path, monkeypatch, text)
     "1,2\n \n3,4\n",       # a whitespace-only line
     "1,2\n3\n",            # ragged rows
     "+1\n", ".5\n", "1.\n", "01\n", "1e400\n",  # not JSON numbers
-    # the integer -0, which orjson reads as 0, before LF, comma, space, tab, end
-    "-0\n", "-0,1\n1,1\n", "1,-0 \n1,1\n", "1,-0\t\n1,1\n", "1,1\n1,-0",
 ])
 def test_non_plain_csv_goes_to_loadtxt(tmp_path, monkeypatch, text):
     path = tmp_path / "m.csv"
@@ -305,6 +305,20 @@ def test_non_plain_csv_goes_to_loadtxt(tmp_path, monkeypatch, text):
     monkeypatch.setattr(np, "loadtxt", _no_loadtxt)
     with pytest.raises(AssertionError, match="np.loadtxt was called"):
         read_csv_matrix(str(path))
+
+
+@pytest.mark.parametrize("text", [
+    # the integer -0 before LF, comma, space, tab and the end of the file
+    "-0\n", "-0,1\n1,1\n", "1,-0 \n1,1\n", "1,-0\t\n1,1\n", "1,1\n1,-0",
+])
+def test_integer_minus_zero_reads_as_minus_zero(tmp_path, monkeypatch, text):
+    path = tmp_path / "m.csv"
+    path.write_bytes(text.encode())
+    want = mmio._read_csv_loadtxt(str(path))
+    assert np.signbit(want).sum() == 1
+    monkeypatch.setattr(np, "loadtxt", _no_loadtxt)
+    got = read_csv_matrix(str(path))
+    np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
 
 
 def _cell_spellings(v):
@@ -329,7 +343,7 @@ def _csv_dialect_text(draw):
     """The text of a CSV file of n*n cells, from plain to every dialect at once.
 
     Each departure from a plain file is on in about one file of four, so
-    many files take the orjson path and the rest cover each reason to fall
+    many files take the compiled path and the rest cover each reason to fall
     back, alone and combined.
     """
     def departs():
@@ -374,6 +388,82 @@ def test_csv_reader_equals_loadtxt_route_property(tmp_path_factory, text):
     assert _outcome(read_csv_matrix, path) == _outcome(mmio._read_csv_loadtxt, path)
 
 
+def _parsed_bits(cells):
+    """The bits the compiled parser gives *cells* read as one CSV row."""
+    text = (",".join(cells) + "\n").encode()
+    out = np.empty(len(cells))
+    assert _loops.parse_csv(text, len(text), out, len(cells)) == len(cells)
+    return out.view(np.int64).tolist()
+
+
+def _float_bits(cells):
+    return np.array([float(c) for c in cells]).view(np.int64).tolist()
+
+
+_decimal_strings = st.builds(
+    lambda neg, digits, point, exp: ("-" if neg else "")
+    + (digits[:point] or "0") + ("." + digits[point:] if digits[point:] else "") + exp,
+    st.booleans(),
+    st.integers(10 ** 15, 10 ** 20 - 1).map(str),
+    st.integers(0, 20),
+    st.sampled_from(["", "e0"]) | st.integers(-345, 285).map(lambda e: f"e{e}"),
+)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(st.lists((_finite.flatmap(_cell_spellings) | _decimal_strings)
+                .filter(lambda c: math.isfinite(float(c))),  # %.3e of 1.7977e308 overflows
+                min_size=1, max_size=8))
+def test_compiled_parser_is_correctly_rounded_property(cells):
+    assert _parsed_bits(cells) == _float_bits(cells)
+
+
+@pytest.mark.parametrize("cell", [
+    "9007199254740993",       # 2^53 + 1: a tie, to even
+    "1.00000000000000011102230246251565404236316680908203125",  # 1 + 2^-53 exactly
+    "1.000000000000000112",   # rounds to a midpoint in long double, then up
+    "2.2250738585072011e-308",  # just below the least normal
+    "4.9406564584124654e-324",  # the least subnormal
+    "1.7976931348623157e308",   # the greatest finite
+    "18446744073709551617",     # 2^64 + 1: past the 64-bit significand
+    "-0", "0e5", "-1e-400", "0.000001e6",
+])
+def test_compiled_parser_hard_cases(cell):
+    assert _parsed_bits([cell]) == _float_bits([cell])
+
+
+@pytest.mark.parametrize("text,width,size", [
+    ("1e400\n", 1, 1),       # overflows
+    ("1,2\n3,4,\n", 2, 4),   # an empty cell
+    ("1,2,3\n", 2, 4),       # a row wider than the first
+    ("1\r\n", 1, 1), ('"1"\n', 1, 1), (" \n", 1, 1),
+    ("1,2\n3,4\n", 2, 3),    # more values than the output holds
+])
+def test_compiled_parser_refuses(text, width, size):
+    assert _loops.parse_csv(text.encode(), len(text), np.empty(size), width) == -1
+
+
+@pytest.mark.parametrize("block", [1, 7, 64])
+@pytest.mark.parametrize("late", ["", "quoted", "ragged"])
+def test_csv_reader_at_every_block_cut(tmp_path, monkeypatch, block, late):
+    # Blocks shorter than a line, cut anywhere, and a refusal in the last row.
+    a = np.random.default_rng(block).standard_normal((9, 9))
+    lines = "".join(csv_lines(a)).splitlines(keepends=True)
+    if late == "quoted":
+        first, _, rest = lines[-1].partition(",")
+        lines[-1] = f'"{first}",{rest}'
+    elif late == "ragged":
+        lines.append("1\n")
+    path = tmp_path / "m.csv"
+    path.write_text("".join(lines))
+    want = _outcome(mmio._read_csv_loadtxt, str(path))
+    monkeypatch.setattr(mmio, "_BLOCK", block)
+    if not late:  # a plain file stays on the compiled path
+        assert want == a.view(np.int64).tolist()
+        monkeypatch.setattr(np, "loadtxt", _no_loadtxt)
+    assert _outcome(read_csv_matrix, str(path)) == want
+
+
 def test_coordinate_symmetric_matrix_market_expands_to_dense(tmp_path, capsys):
     # Only the lower triangle is stored; (3, 1) is an implicit zero.
     path = tmp_path / "a.mtx"
@@ -401,14 +491,14 @@ def test_coordinate_symmetric_matrix_market_expands_to_dense(tmp_path, capsys):
 
 @pytest.mark.parametrize("at", [0, 128], ids=["leading", "after-128-rows"])
 def test_csv_block_of_128_blank_lines(tmp_path, monkeypatch, at):
-    # A whole orjson block of empty lines is skipped, as loadtxt skips them.
+    # A run of 128 empty lines is skipped, as loadtxt skips them.
     n = 130
     a = np.random.default_rng(at).uniform(-1, 1, (n, n))
     lines = "".join(csv_lines(a)).splitlines(keepends=True)
     path = tmp_path / "blank.csv"
     path.write_text("".join(lines[:at] + ["\n"] * 128 + lines[at:]))
     want = mmio._read_csv_loadtxt(str(path))
-    monkeypatch.setattr(np, "loadtxt", _no_loadtxt)  # the block stays on the orjson path
+    monkeypatch.setattr(np, "loadtxt", _no_loadtxt)  # the file stays on the compiled path
     got = read_csv_matrix(str(path))
     np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
     np.testing.assert_array_equal(got, a)
