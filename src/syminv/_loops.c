@@ -42,6 +42,31 @@ long syminv_ldl_block(double *a, long n, long s, long e, double *d,
     return -1;
 }
 
+/* Overwrite the m x m block x (row length ld) with the inverse M of the
+ * unit lower-triangular matrix whose strict lower part it holds: row i
+ * of M is -L[i][:i] . M[:i][:i], each entry summed in index order, with
+ * a one on the diagonal and zeros to its right.  Row i needs only its
+ * own factor entries and the rows of M above it, so it is summed in
+ * scratch and then written over those entries. */
+void syminv_unit_lower_inverse(double *x, long ld, long m)
+{
+    double row[m];
+    for (long i = 0; i < m; i++) {
+        double *xi = x + i * ld;
+        for (long t = 0; t < i; t++) {
+            const double *mt = x + t * ld, l = xi[t];
+            for (long j = 0; j < t; j++)
+                row[j] += l * mt[j];
+            row[t] = l;  /* the first term of entry t: l times M[t][t] = 1 */
+        }
+        for (long j = 0; j < i; j++)
+            xi[j] = -row[j];
+        xi[i] = 1.0;
+        for (long j = i + 1; j < m; j++)
+            xi[j] = 0.0;
+    }
+}
+
 /* Elimination step k on the m sorted rows of f (row length ldf) against
  * column k of a (row length lda); the rows are the required ones below
  * k and every row from k on.  The multiplier of row i is

@@ -1,4 +1,5 @@
-"""The compiled loops and CSV parser of ``_loops.c``, built once per user and bound through ctypes.
+"""The compiled loops and CSV parser of ``_loops.c``, built once per user, and numpy's
+own BLAS dgemm, both bound through ctypes.
 
 Importing this module loads ``syminv-<uid>/loops-<crc>.so`` from
 ``tempfile.gettempdir()``, where crc is the CRC-32 of the C source and
@@ -13,7 +14,16 @@ the compiler.
 
 Each wrapper checks what the C code indexes: every array float64,
 C-contiguous and writeable, and its shape and bounds, before a pointer
-is passed.
+is passed.  ``unit_lower_inverse`` and ``gemm_update`` take views too:
+an array whose columns are adjacent passes its row stride beside it.
+
+``gemm_update`` is the CBLAS dgemm of the OpenBLAS that numpy runs
+``matmul`` on, ``scipy_cblas_dgemm64_`` (ILP64) in numpy's bundled
+OpenBLAS, looked up through numpy's own extension module.  With beta = 1
+it accumulates the blocked drivers' rank-64 updates C -= A B into C in
+one pass, where ``C -= A @ B`` fills a fresh product first; each entry
+is the same product sum, subtracted once, so the bytes agree.  A numpy
+whose BLAS lacks that symbol raises ImportError, naming it.
 """
 
 from __future__ import annotations
@@ -74,16 +84,38 @@ def _load() -> ctypes.CDLL:
         _build(path)
     lib = ctypes.CDLL(path)
     lng, dbl, ptr = ctypes.c_long, ctypes.c_double, ctypes.c_void_p
-    for name, args in (("ldl_block", (ptr, lng, lng, lng, ptr, dbl, dbl)),
-                       ("step", (ptr, lng, ptr, lng, lng, ptr, lng, ptr, dbl, ctypes.c_int)),
-                       ("panel", (ptr, ptr, lng, ptr, ptr, ptr, dbl)),
-                       ("parse_csv", (ctypes.c_char_p, lng, ptr, lng, lng))):
+    for name, args, res in (
+            ("ldl_block", (ptr, lng, lng, lng, ptr, dbl, dbl), lng),
+            ("unit_lower_inverse", (ptr, lng, lng), None),
+            ("step", (ptr, lng, ptr, lng, lng, ptr, lng, ptr, dbl, ctypes.c_int), lng),
+            ("panel", (ptr, ptr, lng, ptr, ptr, ptr, dbl), lng),
+            ("parse_csv", (ctypes.c_char_p, lng, ptr, lng, lng), lng)):
         func = getattr(lib, f"syminv_{name}")
-        func.argtypes, func.restype = args, lng
+        func.argtypes, func.restype = args, res
     return lib
 
 
+_DGEMM = "scipy_cblas_dgemm64_"
+
+
+def _load_dgemm():
+    from numpy._core import _multiarray_umath
+
+    try:
+        func = getattr(ctypes.CDLL(_multiarray_umath.__file__), _DGEMM)
+    except AttributeError:
+        raise ImportError(f"syminv: numpy's BLAS has no {_DGEMM}, the CBLAS dgemm "
+                          f"of the OpenBLAS numpy bundles") from None
+    i64, ptr, dbl = ctypes.c_int64, ctypes.c_void_p, ctypes.c_double
+    func.argtypes = (ctypes.c_int,) * 3 + (i64,) * 3 + (dbl, ptr, i64, ptr, i64, dbl, ptr, i64)
+    func.restype = None
+    return func
+
+
 _lib = _load()
+_dgemm = _load_dgemm()
+# CBLAS's CblasRowMajor, CblasNoTrans and CblasTrans.
+_ROW_MAJOR, _NO_TRANS, _TRANS = 101, 111, 112
 
 
 def _ptr(x, dtype=np.float64, ndim=2) -> int:
@@ -92,7 +124,21 @@ def _ptr(x, dtype=np.float64, ndim=2) -> int:
             and x.flags.c_contiguous and x.flags.writeable):
         raise TypeError(f"expected a writeable C-contiguous {np.dtype(dtype)} array "
                         f"of {ndim} axes")
-    return x.ctypes.data
+    return x.__array_interface__["data"][0]
+
+
+def _rows(x, write=False):
+    """Address and row stride, in elements, of the float64 matrix *x*, whose columns are adjacent.
+
+    An empty *x* is not indexed, so its strides are not checked.
+    """
+    if not (isinstance(x, np.ndarray) and x.dtype == np.float64 and x.ndim == 2
+            and x.flags.aligned and (x.flags.writeable or not write)
+            and (not x.size or x.strides[1] == x.itemsize and x.strides[0] % x.itemsize == 0
+                 and x.strides[0] >= x.itemsize * x.shape[1])):
+        raise TypeError(f"expected a{' writeable' if write else 'n'} aligned float64 "
+                        f"matrix with adjacent columns and rows that do not overlap")
+    return x.__array_interface__["data"][0], x.strides[0] // x.itemsize
 
 
 def ldl_block(a, s, e, d, lo, tol) -> int:
@@ -104,6 +150,42 @@ def ldl_block(a, s, e, d, lo, tol) -> int:
     if not (a.shape == (n, n) and d.shape == (n,) and 0 <= s < e <= n):
         raise ValueError("ldl_block: shapes or block out of range")
     return _lib.syminv_ldl_block(_ptr(a), n, s, e, _ptr(d, ndim=1), lo, tol)
+
+
+def unit_lower_inverse(x):
+    """Overwrite the square view *x* with the inverse of the unit lower-triangular matrix it holds.
+
+    Only the strict lower triangle of *x* is read; row i of the inverse
+    M is -x[i, :i] @ M[:i, :i], each entry summed in index order.
+    Returns *x*.
+    """
+    p, ld = _rows(x, write=True)
+    m = x.shape[0]
+    if x.shape != (m, m):
+        raise ValueError("unit_lower_inverse: the block is not square")
+    if m:
+        _lib.syminv_unit_lower_inverse(p, ld, m)
+    return x
+
+
+def gemm_update(c, a, b, trans_b=False) -> None:
+    """c -= a @ b, or a @ b.T with *trans_b*, in place, by numpy's BLAS dgemm with beta = 1.
+
+    Each view's row stride is its leading dimension.  Refuses arrays
+    that are not float64 or whose columns are not adjacent, shapes that
+    do not match, and a *c* that may share memory with *a* or *b*.
+    """
+    pc, ldc = _rows(c, write=True)
+    pa, lda = _rows(a)
+    pb, ldb = _rows(b)
+    (m, n), k = c.shape, a.shape[1]
+    if a.shape[0] != m or (b.T if trans_b else b).shape != (k, n):
+        raise ValueError(f"gemm_update: shapes {c.shape}, {a.shape} and {b.shape} do not match")
+    if np.may_share_memory(c, a) or np.may_share_memory(c, b):
+        raise ValueError("gemm_update: c shares memory with a or b")
+    if m and n and k:
+        _dgemm(_ROW_MAJOR, _NO_TRANS, _TRANS if trans_b else _NO_TRANS, m, n, k,
+               -1.0, pa, lda, pb, ldb, 1.0, pc, ldc)
 
 
 def step(a, f, k, rows, tol, swaps) -> int:

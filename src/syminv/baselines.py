@@ -35,18 +35,23 @@ model.  The triangular inverse, the lower triangle and the mirroring
 each overwrite the array they are given and return it, so the finish
 allocates no n x n array: the inverse is formed in the array the
 factor was made in (Cholesky's in its forward solve's B, km's in the
-unit factor its factor keeps beside L).  The LDL^T factor and the unit-lower inverse of the LDL and
-Krishnamoorthy-Menon inversions run by 64-column blocks, each a matrix
-product; the Cholesky factor runs on the same LDL^T kernel, with
-Cholesky's pivot test, and scales its columns by sqrt(d).  The kernel's
-column loop on each 64 x 64 diagonal block is compiled (``_loops.c``,
-built at import); it is elementwise and never fuses a multiply-add, so
-each entry a - l c is rounded twice, as numpy's array arithmetic
-rounds it.  The back solves of LDL and Cholesky are evaluated as that
-recombination product; their counts are still the per-row models
-above, each phase added as one sum.  The one row-by-row solve left is Cholesky's forward
-solve: it keeps the Cholesky inversion a classical baseline for v2 to
-be timed against (see ``invert_cholesky``).
+unit factor its factor keeps beside L).  The LDL^T factor and the
+unit-lower inverse of the LDL and Krishnamoorthy-Menon inversions run
+by 64-column blocks, each a matrix product; the Cholesky factor runs on
+the same LDL^T kernel, with Cholesky's pivot test, and scales its
+columns by sqrt(d).  The kernel's trailing rank-64 updates accumulate
+in place through numpy's own BLAS dgemm (``_loops.gemm_update``, with
+beta = 1), bitwise the values ``C -= A @ B`` gives.  Two loops on each
+64 x 64 diagonal block are compiled (``_loops.c``, built at import):
+the kernel's column loop and the block's unit-lower inverse, each
+entry of which is summed in index order.  Neither fuses a
+multiply-add, so each a - l c is rounded twice, as numpy's array
+arithmetic rounds it.  The back solves of LDL and Cholesky are
+evaluated as that recombination product; their counts are still the
+per-row models above, each phase added as one sum.  The one row-by-row
+solve left is Cholesky's forward solve: it keeps the Cholesky
+inversion a classical baseline for v2 to be timed against (see
+``invert_cholesky``).
 """
 
 from __future__ import annotations
@@ -151,22 +156,21 @@ def _unit_lower_inverse(l, blocks=()):
     I of M needs only the rows of M above it and its own factor rows:
     first T = L[I, :s] M[:s, :s] by 64-column blocks from the left, each
     written over the factor columns no later block reads, then
-    M[I, :s] = -M_II T, M_II from the row loop on the diagonal block.
-    *blocks* holds the M_II that the LDL^T kernel already formed.
+    M[I, :s] = -M_II T.  M_II is written over the diagonal block first:
+    *blocks* holds the M_II that the LDL^T kernel already formed, and
+    the others come from the compiled block inverse
+    (``_loops.unit_lower_inverse``).
     """
     n = l.shape[0]
     for b, s in enumerate(range(0, n, _BLOCK)):
         e = min(s + _BLOCK, n)
         if b < len(blocks):
-            blk = blocks[b]
+            l[s:e, s:e] = blocks[b]
         else:
-            blk = np.eye(e - s)
-            for i in range(1, e - s):
-                blk[i, :i] = -(l[s + i, s:s + i] @ blk[:i, :i])
+            _loops.unit_lower_inverse(l[s:e, s:e])
         for c in range(0, s, _BLOCK):
             l[s:e, c:c + _BLOCK] = l[s:e, c:s] @ l[c:s, c:c + _BLOCK]
-        l[s:e, :s] = -blk @ l[s:e, :s]
-        l[s:e, s:e] = blk
+        l[s:e, :s] = -l[s:e, s:e] @ l[s:e, :s]
     return l
 
 
@@ -175,15 +179,15 @@ def _lower_gram(x, d=None):
 
     D = diag(*d*), or the identity when *d* is None.  By 64-row blocks
     from the top: rows c..e-1 of the result, up to column e-1, are
-    x[c:, c:e]^T (D^-1 x)[c:, :e], since the rows of x[:, c:e] above c
-    are zero, and D^-1 x is formed one block at a time.  No later block
+    (D^-1 x)[c:, c:e]^T x[c:, :e], since the rows of x[:, c:e] above c
+    are zero, and D^-1 scales only that narrow panel.  No later block
     reads rows above its own, so each block is written over the rows it
     has just read; the upper part stays zero.
     """
     n = x.shape[0]
     for c in range(0, n, _BLOCK):
         e = min(c + _BLOCK, n)
-        x[c:e, :e] = x[c:, c:e].T @ (x[c:, :e] if d is None else x[c:, :e] / d[c:, None])
+        x[c:e, :e] = (x[c:, c:e] if d is None else x[c:, c:e] / d[c:, None]).T @ x[c:, :e]
         x[c:e, c:e] = np.tril(x[c:e, c:e])
     return x
 
@@ -208,9 +212,10 @@ def _ldl_nopiv_blocked(a, cholesky=False):
     private checked copy.  The column loop runs on the panel's diagonal
     block only, compiled (``_loops.ldl_block``), and updates the lower
     triangle that later columns read.  The rows below it are
-    W = A21 M11^T (M11 the block's unit-lower inverse) and L21 = W / d,
-    and the trailing matrix takes L21 W^T in its lower part only, one
-    64-column block at a time.
+    W = A21 M11^T (M11 the block's unit-lower inverse, compiled as
+    ``_loops.unit_lower_inverse``) and L21 = W / d, and the trailing
+    matrix takes L21 W^T in its lower part only, one 64-column block at
+    a time, each accumulated in place by ``_loops.gemm_update``.
     Pivot j, the ratio of the leading (j+1)- and j-minors, is judged
     against the one threshold tol = ``default_pivot_tol(a)``: it raises
     ZeroPivot(j) when |pivot j| <= tol, or with *cholesky*
@@ -230,12 +235,13 @@ def _ldl_nopiv_blocked(a, cholesky=False):
         if j >= 0:
             raise reject(j)
         if e < n:
-            blocks.append(_unit_lower_inverse(a[s:e, s:e].copy()))
+            blocks.append(_loops.unit_lower_inverse(a[s:e, s:e].copy()))
             w21 = a[e:, s:e] @ blocks[-1].T
             l21 = w21 / d[s:e]
             a[e:, s:e] = l21
             for c in range(0, n - e, _BLOCK):
-                a[e + c:, e + c:e + c + _BLOCK] -= l21[c:] @ w21[c:c + _BLOCK].T
+                _loops.gemm_update(a[e + c:, e + c:e + c + _BLOCK], l21[c:],
+                                   w21[c:c + _BLOCK], trans_b=True)
         # The panel's rows are final: clear their diagonal and upper part.
         a[s:e, e:] = 0.0
         a[s:e, s:e] = np.tril(a[s:e, s:e], -1)

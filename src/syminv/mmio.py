@@ -13,7 +13,8 @@ Non-finite entries are rejected before any text is written.
 The reader has two paths with one result.  A plain file, which is what
 the writer makes, is parsed by the package's compiled parser
 (``_loops.parse_csv``, correctly rounded) in blocks of whole lines
-straight into the matrix, so it never holds the whole text either.  A
+straight into the matrix, so it never holds the whole text of a
+regular file either (a pipe's is read whole, in case loadtxt needs it).  A
 plain file holds equal rows of JSON numbers separated by commas, with
 spaces or tabs around them, LF line ends and empty lines.  Every other
 file is read by ``numpy.loadtxt``: it also accepts quoted cells, CRLF
@@ -21,7 +22,8 @@ line ends and number forms JSON lacks (``+1``, ``.5``, ``1.``, ``01``),
 but only the decimal literals NumPy parses, so Python-only forms such as
 ``1_0`` are rejected with an ``InvalidArgument`` that names the path.
 The compiled path gives up at the first block it cannot take, and
-loadtxt then reads the whole file.
+loadtxt then reads the whole file: a regular file again from its
+start, and a pipe or FIFO, which cannot be read twice, from its text.
 
 Matrix Market files go through ``scipy.io`` and may use either the
 ``array`` or the ``coordinate`` layout; coordinate files (including
@@ -32,6 +34,7 @@ CSV text is written.
 
 from __future__ import annotations
 
+import io
 import os
 import re
 import stat
@@ -63,47 +66,54 @@ def csv_lines(a):
         yield orjson.dumps(row, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].decode("ascii") + "\n"
 
 
-def _read_plain_csv(path):
-    """Parse a plain CSV file in C, one block of whole lines per call.
+def _read_plain_csv(fh, size):
+    """Parse the plain CSV of the binary file *fh*, *size* bytes long, in C, by blocks of lines.
 
     The first non-empty line's cells give the order n, and the values go
     straight into one n x n array.  Returns None, and so leaves the file
     to ``loadtxt``, when the compiled parser refuses a block, when the
-    rows are not n, and when a regular file is too short to hold n rows
-    of n cells, which keeps a long first line from allocating n^2.
+    rows are not n, and when the file is too short to hold n rows of n
+    cells, which keeps a long first line from allocating n^2.
     """
-    with open(path, "rb") as fh:
-        st = os.fstat(fh.fileno())
-        out, filled, tail = None, 0, b""
-        while True:
-            # A line longer than a block doubles the read, so it costs
-            # linear time, not quadratic.
-            data = fh.read(max(_BLOCK, len(tail)))
-            text = tail + data
-            end = text.rfind(b"\n") + 1 if data else len(text)
-            tail = text[end:]
-            if out is None and (row := _FIRST_ROW.match(text, 0, end)):
-                n = row[1].count(b",") + 1
-                # n rows of n cells take 2n^2 - 1 bytes at least.
-                if stat.S_ISREG(st.st_mode) and 2 * n * n - 1 > st.st_size:
-                    return None
-                out = np.empty((n, n))
-            if out is not None:
-                got = _loops.parse_csv(text, end, out.reshape(-1)[filled:], n)
-                if got < 0:
-                    return None
-                filled += got
-            if not data:
-                return out if out is not None and filled == out.size else None
+    out, filled, tail = None, 0, b""
+    while True:
+        # A line longer than a block doubles the read, so it costs
+        # linear time, not quadratic.
+        data = fh.read(max(_BLOCK, len(tail)))
+        text = tail + data
+        end = text.rfind(b"\n") + 1 if data else len(text)
+        tail = text[end:]
+        if out is None and (row := _FIRST_ROW.match(text, 0, end)):
+            n = row[1].count(b",") + 1
+            # n rows of n cells take 2n^2 - 1 bytes at least.
+            if 2 * n * n - 1 > size:
+                return None
+            out = np.empty((n, n))
+        if out is not None:
+            got = _loops.parse_csv(text, end, out.reshape(-1)[filled:], n)
+            if got < 0:
+                return None
+            filled += got
+        if not data:
+            return out if out is not None and filled == out.size else None
 
 
 def read_csv_matrix(path) -> np.ndarray:
-    a = _read_plain_csv(path)
-    return _read_csv_loadtxt(path) if a is None else _validated(a)
+    with open(path, "rb") as fh:
+        st = os.fstat(fh.fileno())
+        if stat.S_ISREG(st.st_mode):
+            text = None
+            a = _read_plain_csv(fh, st.st_size)
+        else:
+            # A pipe or FIFO yields its text once: keep it for loadtxt.
+            text = fh.read()
+            a = _read_plain_csv(io.BytesIO(text), len(text))
+    return _read_csv_loadtxt(path, text) if a is None else _validated(a)
 
 
-def _read_csv_loadtxt(path) -> np.ndarray:
-    with open(path) as fh:
+def _read_csv_loadtxt(path, text=None) -> np.ndarray:
+    """``loadtxt``'s reading of the CSV file *path*, or of its bytes *text* when given."""
+    with open(path) if text is None else io.TextIOWrapper(io.BytesIO(text)) as fh:
         try:
             # loadtxt only warns on a file without rows, so look first.
             if not any(line.strip() for line in fh):

@@ -38,7 +38,10 @@ pivot test, the profile-keeping swap, the reciprocal and the rank-one
 update, with each multiplier summed in index order and each update
 rounded as the scalar transcription of the elimination rounds it, so
 a stepwise run is that transcription's arithmetic bit for bit.  The
-products between panels stay matrix products in numpy.
+products between panels stay matrix products in numpy's BLAS, and the
+rank-64 update of the rows outside a panel accumulates into F in place
+through the same BLAS's dgemm (``_loops.gemm_update``), with the
+bytes of ``F -= D @ W``.
 
 A swap at step k with row j exchanges rows k and j of a working copy
 of A and the pivoted parts F[k, :k] and F[j, :k], and logs (k, j).
@@ -198,8 +201,12 @@ def _run_panel(a, f, s, mask, pivot_tol, counter, allow_swaps, swaps) -> int:
             pinv = np.linalg.inv(p)
             w = pinv @ f_s[:j, :stop]
         w += pinv @ (f_s[:j, :stop] - p @ w)
-        f[up, :stop] -= d_up[:, :j] @ w
-        f[e:, :stop] -= d_low[e - s:, :j] @ w
+        # Both updates accumulate in place; rows that are not a slice are
+        # gathered, updated and written back.
+        rest = f[up, :stop]
+        _loops.gemm_update(rest, d_up[:, :j], w)
+        f[up, :stop] = rest
+        _loops.gemm_update(f[e:, :stop], d_low[e - s:, :j], w)
     # Step k's rows: the required rows above k, then every row from k on.
     ahead = above.size + np.cumsum(mask[s:stop]) - mask[s:stop]
     _tally(counter, sum(_step_cost(int(r) + n - k, k)

@@ -250,6 +250,7 @@ def invert_symmetric_robust(a, counter=None) -> np.ndarray:
     n^3 + n^2 in all.  Halving first keeps every entry of a finite R
     finite, where (R + R^T) / 2 could overflow; it is exact for normal
     entries, so the two agree bitwise there, and is counted once done.
+    Both steps run in place in R's array, by blocks.
     invert_v2 counts nothing before it can raise ZeroPivot, so the
     counter holds only the operations of the path that produced the
     result.  The fallback runs only after invert_v2 has checked the
@@ -259,6 +260,15 @@ def invert_symmetric_robust(a, counter=None) -> np.ndarray:
         return invert_v2(a, counter)
     except ZeroPivot:
         pass
-    h = modgauss.invert(a, counter) * 0.5
-    _tally(counter, h.shape[0] ** 2)
-    return h + h.T
+    h = modgauss.invert(a, counter)
+    h *= 0.5
+    n = h.shape[0]
+    _tally(counter, n * n)
+    # H + H^T in place by 128-column blocks: each diagonal block whole,
+    # each block left of it plus the transpose of its mirror, copied up.
+    for c in range(0, n, 128):
+        e = min(c + 128, n)
+        h[c:e, c:e] += h[c:e, c:e].T
+        h[c:e, :c] += h[:c, c:e].T
+        h[:c, c:e] = h[c:e, :c].T
+    return h

@@ -135,3 +135,89 @@ def test_every_layout_gives_the_bytes_of_c_order(kind):
         if want is None:
             want = got
         assert got == want, layout
+
+
+def _elimination_and_kernel_shapes(n=1000, block=64):
+    """(c, a, b, trans_b) of every rank-64 update the blocked drivers make at order n.
+
+    c is a view into an n x n array, as in the drivers: the elimination's
+    rows above and below each panel, and the kernel's trailing blocks.
+    """
+    rng = np.random.default_rng(25)
+    f = rng.standard_normal((n, n))
+    for s in range(0, n, block):
+        e = min(s + block, n)
+        w = f[s:e, :e]
+        d = rng.standard_normal((n, e - s))
+        yield f[:s, :e], d[:s], w, False
+        yield f[e:, :e], d[e:], w, False
+        l21, w21 = rng.standard_normal((2, n - e, e - s))
+        for c in range(0, n - e, block):
+            yield f[e + c:, e + c:e + c + block], l21[c:], w21[c:c + block], True
+
+
+def test_gemm_update_is_bitwise_the_numpy_update():
+    for c, a, b, trans_b in _elimination_and_kernel_shapes():
+        want = c - a @ (b.T if trans_b else b)
+        got = c.copy()
+        _loops.gemm_update(got, a, b, trans_b=trans_b)
+        assert got.tobytes() == want.tobytes(), (c.shape, trans_b)
+        _loops.gemm_update(c, a, b, trans_b=trans_b)  # a view, in place
+        assert c.tobytes() == want.tobytes(), (c.shape, trans_b)
+
+
+def _bad_updates():
+    c, a, b = np.zeros((4, 6)), np.ones((4, 3)), np.ones((3, 6))
+    big = np.zeros((8, 8))
+    yield "float32 c", c.astype(np.float32), a, b, TypeError
+    yield "integer a", c, a.astype(np.int64), b, TypeError
+    yield "c column stride 2", np.zeros((4, 12))[:, ::2], a, b, TypeError
+    yield "Fortran-ordered a", c, np.asfortranarray(a), b, TypeError
+    yield "b column stride 2", c, a, np.ones((3, 12))[:, ::2], TypeError
+    yield "read-only c", np.broadcast_to(c, c.shape), a, b, TypeError
+    yield "a rows differ", c, np.ones((5, 3)), b, ValueError
+    yield "inner sizes differ", c, a, np.ones((4, 6)), ValueError
+    yield "b columns differ", c, a, np.ones((3, 5)), ValueError
+    yield "c shares memory with a", big[:4, :6], big[2:6, :3], b, ValueError
+    yield "c shares memory with b", big[:4, 2:8], a, big[1:4, :6], ValueError
+
+
+@pytest.mark.parametrize("what, c, a, b, error", list(_bad_updates()),
+                         ids=[case[0] for case in _bad_updates()])
+def test_gemm_update_refuses(what, c, a, b, error):
+    before = c.copy()
+    with pytest.raises(error):
+        _loops.gemm_update(c, a, b)
+    assert np.array_equal(c, before)
+
+
+def test_gemm_update_takes_the_transposed_shape():
+    c, a, bt = np.zeros((4, 6)), np.ones((4, 3)), np.ones((6, 3))
+    _loops.gemm_update(c, a, bt, trans_b=True)
+    assert (c == -3.0).all()
+    with pytest.raises(ValueError):
+        _loops.gemm_update(c, a, bt)
+
+
+def test_the_compiled_block_inverse_is_exact_on_small_integers():
+    m = 64
+    rng = np.random.default_rng(25)
+    lower = np.tril(rng.integers(-1, 2, (m, m)), -1)
+    # The exact inverse, in Python integers: row i is -L[i, :i] M[:i, :i].
+    exact = [[0] * m for _ in range(m)]
+    for i in range(m):
+        exact[i][i] = 1
+        for j in range(i):
+            exact[i][j] = -sum(int(lower[i, t]) * exact[t][j] for t in range(j, i))
+    assert max(abs(v) for row in exact for v in row) < 2**53  # every float64 sum exact
+    x = np.zeros((m, m + 5))[:, 2:m + 2]  # a view whose rows are longer than m
+    x[:] = lower
+    x[np.triu_indices(m)] = 7.0  # not read: the diagonal and above are written
+    assert _loops.unit_lower_inverse(x) is x
+    assert np.array_equal(x, np.array(exact, dtype=float))
+
+
+def test_a_blas_without_the_dgemm_symbol_names_it(monkeypatch):
+    monkeypatch.setattr(_loops, "_DGEMM", "no_such_dgemm64_")
+    with pytest.raises(ImportError, match="no_such_dgemm64_"):
+        _loops._load_dgemm()

@@ -2,6 +2,9 @@
 
 import io
 import math
+import os
+import subprocess
+import sys
 import warnings
 from decimal import Decimal
 
@@ -305,6 +308,32 @@ def test_non_plain_csv_goes_to_loadtxt(tmp_path, monkeypatch, text):
     monkeypatch.setattr(np, "loadtxt", _no_loadtxt)
     with pytest.raises(AssertionError, match="np.loadtxt was called"):
         read_csv_matrix(str(path))
+
+
+_FIFO_READER = """
+import sys, threading
+from syminv.mmio import read_csv_matrix
+def feed():
+    with open(sys.argv[1], "wb") as fh:
+        fh.write(sys.argv[2].encode())
+threading.Thread(target=feed).start()
+print(read_csv_matrix(sys.argv[1]).tolist())
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs FIFOs")
+@pytest.mark.parametrize("text", ["1.5,-2\r\n-2,4\r\n", "1.5,-2\n-2,4\n"], ids=["CRLF", "LF"])
+def test_a_fifo_is_read_once(tmp_path, text):
+    # A FIFO yields its text once: one the compiled path refuses (CRLF)
+    # must reach loadtxt without the reader opening the path again.
+    path = tmp_path / "m.csv"
+    os.mkfifo(path)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(mmio.__file__)))
+    proc = subprocess.run([sys.executable, "-c", _FIFO_READER, str(path), text],
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[[1.5, -2.0], [-2.0, 4.0]]"
 
 
 @pytest.mark.parametrize("text", [
