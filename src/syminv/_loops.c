@@ -2,11 +2,12 @@
  * by _loops.py.
  *
  * Every matrix is a row-major float64 array whose row length is passed
- * beside it; the Python wrappers check dtype, contiguity and bounds
- * before a pointer gets here.  Built with -ffp-contract=off and without
- * -ffast-math, so each a - b * c rounds its product and its difference
- * apart, and each sum runs in index order, as numpy's elementwise
- * operations and the scalar transcriptions in tests/oracles.py do.
+ * beside it, and every row mask one byte per row; the Python wrappers
+ * check dtype, contiguity and bounds before a pointer gets here.  Built
+ * with -ffp-contract=off and without -ffast-math, so each a - b * c
+ * rounds its product and its difference apart, and each sum runs in
+ * index order, as numpy's elementwise operations and the scalar
+ * transcriptions in tests/oracles.py do.
  */
 
 #include <float.h>
@@ -67,83 +68,70 @@ void syminv_unit_lower_inverse(double *x, long ld, long m)
     }
 }
 
-/* Elimination step k on the m sorted rows of f (row length ldf) against
- * column k of a (row length lda); the rows are the required ones below
- * k and every row from k on.  The multiplier of row i is
- * f[i][:k] . a[:k][k], plus a[i][k] for an unpivoted row (i >= k), and
- * goes to d.  A pivot with |pivot| <= tol is rejected: with swaps, the
- * row from k on with the largest multiplier (the first of equals) takes
- * its place if it clears tol, exchanging rows k and j of a and f[k][:k]
- * with f[j][:k].  Then row k is scaled by the pivot's reciprocal r, with
- * f[k][k] = r, and every other row takes its multiplier times row k.
- * Returns the pivot row, or -1, having touched nothing, when no pivot
- * clears tol. */
-long syminv_step(double *a, long lda, double *f, long ldf, long k,
-                 const long *rows, long m, double *d, double tol, int swaps)
+/* Elimination step k on the live rows of the n-row f (row length ldf)
+ * against column k of a (row length lda): row i is live when i >= k or
+ * keep[i], that is the required rows above k and every row from k on.
+ * The multiplier of row i is f[i][:k] . a[:k][k], plus a[i][k] for an
+ * unpivoted row (i >= k), and goes to d[i].  A pivot with
+ * |pivot| <= tol is rejected: with swaps, the row j from k on with the
+ * largest multiplier (the first of equals) takes its place if it clears
+ * tol, exchanging f[k][:k] with f[j][:k].  a is only read; a caller that
+ * goes on exchanges its rows k and j.  Then row k is scaled by the
+ * pivot's reciprocal r, with f[k][k] = r, and every other live row takes
+ * its multiplier times row k.  Returns the pivot row, or -1, having
+ * touched nothing, when no pivot clears tol. */
+long syminv_step(const double *a, long lda, double *f, long ldf, long n, long k,
+                 const unsigned char *keep, double *d, double tol, int swaps)
 {
-    long kp = 0;
-    for (long t = 0; t < m; t++) {
-        const double *fi = f + rows[t] * ldf;
+    for (long i = 0; i < n; i++) {
+        if (i < k && !keep[i])
+            continue;
+        const double *fi = f + i * ldf;
         double sum = 0.0;
         for (long j = 0; j < k; j++)
             sum += fi[j] * a[j * lda + k];
-        if (rows[t] < k)
-            kp = t + 1;
-        else
-            sum += a[rows[t] * lda + k];
-        d[t] = sum;
+        if (i >= k)
+            sum += a[i * lda + k];
+        d[i] = sum;
     }
-    long jp = kp;
-    if (fabs(d[kp]) <= tol) {
+    long jp = k;
+    if (fabs(d[k]) <= tol) {
         if (!swaps)
             return -1;
-        for (long t = kp + 1; t < m; t++)
-            if (fabs(d[t]) > fabs(d[jp]))
-                jp = t;
+        for (long i = k + 1; i < n; i++)
+            if (fabs(d[i]) > fabs(d[jp]))
+                jp = i;
         if (fabs(d[jp]) <= tol)
             return -1;
-        double *ak = a + k * lda, *aj = a + rows[jp] * lda;
-        double *fk = f + k * ldf, *fj = f + rows[jp] * ldf;
-        for (long c = 0; c < lda; c++) {
-            double x = ak[c]; ak[c] = aj[c]; aj[c] = x;
-        }
+        double *fk = f + k * ldf, *fj = f + jp * ldf;
         for (long c = 0; c < k; c++) {
             double x = fk[c]; fk[c] = fj[c]; fj[c] = x;
         }
-        double g = d[kp]; d[kp] = d[jp]; d[jp] = g;
+        double g = d[k]; d[k] = d[jp]; d[jp] = g;
     }
-    double *fk = f + k * ldf, r = 1.0 / d[kp];
+    double *fk = f + k * ldf, r = 1.0 / d[k];
     for (long c = 0; c < k; c++)
         fk[c] *= r;
     fk[k] = r;
-    for (long t = 0; t < m; t++) {
-        double *fi = f + rows[t] * ldf;
-        if (t != kp)
+    for (long i = 0; i < n; i++) {
+        double *fi = f + i * ldf;
+        if (i != k && (i > k || keep[i]))
             for (long c = 0; c <= k; c++)
-                fi[c] -= d[t] * fk[c];
+                fi[c] -= d[i] * fk[c];
     }
-    return rows[jp];
+    return jp;
 }
 
 /* A panel's steps without swaps on its m x m matrices: c, from the
- * identity, against p, every step on the live rows.  Row k stops being
- * live after step k unless keep[k].  rows and d are scratch of length m.
- * Returns the step whose pivot was rejected, or m. */
-long syminv_panel(double *p, double *c, long m, const unsigned char *keep,
-                  long *rows, double *d, double tol)
+ * identity, against p.  Row k stops taking steps after its own unless
+ * keep[k].  Returns the step whose pivot was rejected, or m. */
+long syminv_panel(const double *p, double *c, long m, const unsigned char *keep,
+                  double tol)
 {
-    long live = m;
-    for (long t = 0; t < m; t++)
-        rows[t] = t;
-    for (long k = 0; k < m; k++) {
-        if (syminv_step(p, m, c, m, k, rows, live, d, tol, 0) < 0)
+    double d[m];
+    for (long k = 0; k < m; k++)
+        if (syminv_step(p, m, c, m, m, k, keep, d, tol, 0) < 0)
             return k;
-        if (!keep[k]) {
-            long at = live - (m - k);  /* rows k..m-1 end the live rows */
-            memmove(rows + at, rows + at + 1, (live - at - 1) * sizeof *rows);
-            live--;
-        }
-    }
     return m;
 }
 

@@ -12,10 +12,12 @@ writable by anyone else, raises ImportError, since whoever can write
 there chooses the code this process runs.  So does a cold cache without
 the compiler.
 
-Each wrapper checks what the C code indexes: every array float64,
-C-contiguous and writeable, and its shape and bounds, before a pointer
-is passed.  ``unit_lower_inverse`` and ``gemm_update`` take views too:
-an array whose columns are adjacent passes its row stride beside it.
+Each wrapper checks what the C code indexes: every array float64 (a
+row mask bool), C-contiguous and writeable, and its shape and bounds,
+before a pointer is passed.  ``unit_lower_inverse``, ``gemm_update``
+and ``step``'s A take views too: an array whose columns are adjacent
+passes its row stride beside it, and one that is only read may be
+read-only.
 
 ``gemm_update`` is the CBLAS dgemm of the OpenBLAS that numpy runs
 ``matmul`` on, ``scipy_cblas_dgemm64_`` (ILP64) in numpy's bundled
@@ -40,7 +42,6 @@ _SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_loops.c")
 # No -ffast-math and no -march: the loops round as numpy and the scalar
 # transcriptions do, with no contracted a - b * c and no reordered sum.
 _FLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
-_LONG = np.dtype(ctypes.c_long)  # the C code's index type
 
 
 def _cache_dir() -> str:
@@ -87,8 +88,8 @@ def _load() -> ctypes.CDLL:
     for name, args, res in (
             ("ldl_block", (ptr, lng, lng, lng, ptr, dbl, dbl), lng),
             ("unit_lower_inverse", (ptr, lng, lng), None),
-            ("step", (ptr, lng, ptr, lng, lng, ptr, lng, ptr, dbl, ctypes.c_int), lng),
-            ("panel", (ptr, ptr, lng, ptr, ptr, ptr, dbl), lng),
+            ("step", (ptr, lng, ptr, lng, lng, lng, ptr, ptr, dbl, ctypes.c_int), lng),
+            ("panel", (ptr, ptr, lng, ptr, dbl), lng),
             ("parse_csv", (ctypes.c_char_p, lng, ptr, lng, lng), lng)):
         func = getattr(lib, f"syminv_{name}")
         func.argtypes, func.restype = args, res
@@ -188,20 +189,20 @@ def gemm_update(c, a, b, trans_b=False) -> None:
                -1.0, pa, lda, pb, ldb, 1.0, pc, ldc)
 
 
-def step(a, f, k, rows, tol, swaps) -> int:
-    """Elimination step k on f's sorted *rows* against a; the pivot row, or -1.
+def step(a, f, k, keep, tol, swaps) -> int:
+    """Elimination step k on f's live rows against a; the pivot row, or -1.
 
-    *rows* must be the required rows below k and every row from k on.
+    Row i is live when i >= k or keep[i].  *a* is only read, so it may
+    be read-only; after a swap with row j the caller exchanges its rows
+    k and j if it goes on.
     """
-    m = rows.size
-    if not (m and 0 <= rows[0] and 0 <= k <= rows[-1]
-            and rows[-1] < min(a.shape[0], f.shape[0]) and k < min(a.shape[1], f.shape[1])
-            and (m == 1 or np.diff(rows).min() > 0)
-            and np.count_nonzero(rows >= k) == rows[-1] - k + 1):
-        raise ValueError("step: step or rows out of range")
-    d = np.empty(m)
-    return _lib.syminv_step(_ptr(a), a.shape[1], _ptr(f), f.shape[1], k,
-                            _ptr(rows, _LONG, 1), m, _ptr(d, ndim=1), tol, swaps)
+    pa, lda = _rows(a)
+    pf, pk = _ptr(f), _ptr(keep, np.bool_, 1)
+    n = keep.size
+    if not (a.shape[0] == f.shape[0] == n and 0 <= k < min(n, a.shape[1], f.shape[1])):
+        raise ValueError("step: shapes or step out of range")
+    d = np.empty(n)
+    return _lib.syminv_step(pa, lda, pf, f.shape[1], n, k, pk, _ptr(d, ndim=1), tol, swaps)
 
 
 def panel(p, c, keep, tol) -> int:
@@ -213,9 +214,7 @@ def panel(p, c, keep, tol) -> int:
     m = c.shape[0]
     if not (p.shape == c.shape == (m, m) and keep.shape == (m,) and m):
         raise ValueError("panel: shapes out of range")
-    rows, d = np.empty(m, _LONG), np.empty(m)
-    return _lib.syminv_panel(_ptr(p), _ptr(c), m, _ptr(keep, np.bool_, 1),
-                             _ptr(rows, _LONG, 1), _ptr(d, ndim=1), tol)
+    return _lib.syminv_panel(_ptr(p), _ptr(c), m, _ptr(keep, np.bool_, 1), tol)
 
 
 def parse_csv(text, end, out, width) -> int:

@@ -239,18 +239,22 @@ def frobenius_norm(m) -> float:
     return scale * math.sqrt(float((m * m).sum()))
 
 
+@_fp_context
 def norm2_estimate(m) -> float:
     """Largest singular value of *m*, estimated by power iteration on m^T m.
 
     Starts from a fixed deterministic vector and runs at most 200
     iterations, stopping early once the estimate is stable to 1e-12
     (relative).  The estimate converges from below, so it never exceeds
-    ``frobenius_norm(m)`` beyond rounding.  *m* is checked as by
-    ``as_matrix``.
+    ``frobenius_norm(m)`` beyond rounding.  The iteration runs on *m*
+    scaled by its largest magnitude, as ``frobenius_norm`` does, so it
+    neither overflows nor underflows unless the norm itself does.  *m*
+    is checked as by ``as_matrix``.
     """
     a = _validated(m)
-    n = a.shape[0]
-    v = np.linspace(1.0, 2.0, n)
+    scale = float(np.abs(a).max()) or 1.0  # a zero matrix stays zero
+    a = a / scale
+    v = np.linspace(1.0, 2.0, a.shape[0])
     v /= math.sqrt(float(v @ v))
     prev = -1.0
     for _ in range(200):
@@ -259,12 +263,12 @@ def norm2_estimate(m) -> float:
         z = a.T @ w
         zn = math.sqrt(float(z @ z))
         if zn == 0.0:
-            return est
+            break
         v = z / zn
         if abs(est - prev) <= 1e-12 * est:
             break
         prev = est
-    return est
+    return scale * est
 
 
 @_fp_context

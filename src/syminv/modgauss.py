@@ -33,9 +33,10 @@ and P = A, so it is the stepwise arithmetic exactly; ``eliminate_step``
 always runs one step on every active row.
 
 The step itself, and a panel's loop over its steps on C and P, are
-compiled loops (``_loops.c``, built at import): the multipliers, the
-pivot test, the profile-keeping swap, the reciprocal and the rank-one
-update, with each multiplier summed in index order and each update
+compiled loops (``_loops.c``, built at import), given the live rows as
+the mask of required rows: the multipliers, the pivot test, the
+profile-keeping swap of F, the reciprocal and the rank-one update, on
+F only, with each multiplier summed in index order and each update
 rounded as the scalar transcription of the elimination rounds it, so
 a stepwise run is that transcription's arithmetic bit for bit.  The
 products between panels stay matrix products in numpy's BLAS, and the
@@ -43,14 +44,15 @@ rank-64 update of the rows outside a panel accumulates into F in place
 through the same BLAS's dgemm (``_loops.gemm_update``), with the
 bytes of ``F -= D @ W``.
 
-A swap at step k with row j exchanges rows k and j of a working copy
-of A and the pivoted parts F[k, :k] and F[j, :k], and logs (k, j).
-Every row keeps its profile, and the row identities now hold against
-the row-swapped A, so F ends as the inverse of Q A, Q the product of
-the logged swaps.  ``eliminate`` applies the log to F's columns once at
-the end: the required rows of F Q are rows of A^-1.  ``eliminate_step``
-maps every state the same way, so a state's F is always in the
-caller's coordinates.
+A swap at step k with row j exchanges the pivoted parts F[k, :k] and
+F[j, :k], logs (k, j), and then exchanges rows k and j of a working
+copy of A.  Every row keeps its profile, and the row identities now
+hold against the row-swapped A, so F ends as the inverse of Q A, Q the
+product of the logged swaps.  ``eliminate`` applies the log to F's
+columns once at the end: the required rows of F Q are rows of A^-1.
+``eliminate_step`` maps every state the same way, so a state's F is
+always in the caller's coordinates; it copies A only to replay a
+logged swap, since the step itself only reads A.
 
 Cost model: only scalar multiplications and divisions are tallied
 (additions and subtractions are free).  Tallies follow the row-profile
@@ -60,12 +62,13 @@ only, an unpivoted row additionally carries its untouched identity entry
 costs n^3/3 + n^2/2 + n/6 + p^2 n − p n − p^3/3 + p^2/2 − p/6 for the
 elimination, with or without pivot swaps, since a swap keeps every
 row's profile.  Step k on m rows costs ``_step_cost(m, k)``, and step k
-updates the required rows above k and every row from k on.  The
-stepwise ``eliminate_step`` measures the count, adding each step once
-it is done.  ``eliminate`` models it: each panel adds the per-step
-model of the steps it ran in one sum once its arithmetic is done, and
-a swap step adds its own.  The two counts are equal, and a run that
-raises has counted exactly the steps and panels it completed.
+updates ``_live_rows(mask, k)`` rows: the required rows above k and
+every row from k on.  The stepwise ``eliminate_step`` measures the
+count, adding each step once it is done.  ``eliminate`` models it:
+each panel adds the per-step model of the steps it ran in one sum once
+its arithmetic is done, and a swap step adds its own.  The two counts
+are equal, and a run that raises has counted exactly the steps and
+panels it completed.
 """
 
 from __future__ import annotations
@@ -119,11 +122,9 @@ def _coerce_required(required, n: int) -> RequiredSet:
     return req
 
 
-def _active_rows(mask, k) -> np.ndarray:
-    """Rows updated at step k: the required rows above k and every row from k on."""
-    act = mask.copy()
-    act[k:] = True
-    return np.flatnonzero(act)
+def _live_rows(mask, k) -> int:
+    """Rows step k updates: the required rows above k and every row from k on."""
+    return int(np.count_nonzero(mask[:k])) + mask.size - k
 
 
 def _step_cost(m, k) -> int:
@@ -136,23 +137,24 @@ def _step_cost(m, k) -> int:
     return m * (2 * k + 1)
 
 
-def _run_step(a, f, k, rows, pivot_tol, allow_swaps, swaps) -> None:
-    """Apply elimination step k to f in place; the caller counts it.
+def _run_step(a, f, k, mask, pivot_tol, allow_swaps, swaps) -> int:
+    """Apply elimination step k to f in place and return its pivot row j; the caller counts it.
 
-    rows holds the sorted indices of the rows to update, the active
-    rows: the required rows above k and every row from k on.  The
-    compiled step sums each multiplier in index order.  A swap with row
-    j exchanges rows k and j of the working copy a and the pivoted parts
-    f[k, :k] and f[j, :k], so every row keeps its profile, and logs
-    (k, j) in swaps.  A rejected pivot raises before a or f is touched.
+    The step updates the live rows: the rows *mask* requires above k
+    and every row from k on.  The compiled step sums each multiplier in
+    index order.  A swap with row j exchanges the pivoted parts f[k, :k]
+    and f[j, :k], so every row keeps its profile, and logs (k, j) in
+    swaps; a is only read, so a caller that goes on exchanges its rows
+    k and j.  A rejected pivot raises before f is touched.
     """
-    j = _loops.step(a, f, k, rows, pivot_tol, allow_swaps)
+    j = _loops.step(a, f, k, mask, pivot_tol, allow_swaps)
     if j < 0:
         if not allow_swaps:
             raise ZeroPivot(k)
         raise SingularMatrix(f"no usable pivot at elimination step {k}: matrix is singular")
     if j != k:
         swaps.append((k, j))
+    return j
 
 
 def _run_panel(a, f, s, mask, pivot_tol, counter, allow_swaps, swaps) -> int:
@@ -213,9 +215,9 @@ def _run_panel(a, f, s, mask, pivot_tol, counter, allow_swaps, swaps) -> int:
                         for k, r in zip(range(s, stop), ahead)))
     if stop == e:
         return e
-    rows = _active_rows(mask, stop)
-    _run_step(a, f, stop, rows, pivot_tol, True, swaps)
-    _tally(counter, _step_cost(rows.size, stop))
+    j = _run_step(a, f, stop, mask, pivot_tol, True, swaps)
+    a[[stop, j]] = a[[j, stop]]  # the working copy, for the steps after this one
+    _tally(counter, _step_cost(_live_rows(mask, stop), stop))
     return stop + 1
 
 
@@ -301,7 +303,8 @@ class EliminationState:
 
     def active_rows(self) -> np.ndarray:
         """Indices of rows still being updated at the current step."""
-        return _active_rows(self.required.mask(self.a.shape[0]), self.step)
+        n = self.a.shape[0]
+        return np.flatnonzero(self.required.mask(n) | (np.arange(n) >= self.step))
 
 
 @_fp_context
@@ -310,15 +313,15 @@ def eliminate_step(state: EliminationState, counter=None, allow_swaps=True) -> E
     n = state.a.shape[0]
     if state.step >= n:
         raise InvalidArgument(f"elimination already complete after {state.step} steps")
-    a = _real(state.a, copy=True)
+    a = _real(state.a, copy=bool(state.perm))  # the step only reads it
     f = _real(state.f, copy=True)
     swaps = list(state.perm)
     for k, j in swaps:  # into the working coordinates of the run so far
         a[[k, j]] = a[[j, k]]
         f[:, [k, j]] = f[:, [j, k]]
-    rows = state.active_rows()
-    _run_step(a, f, state.step, rows, default_pivot_tol(state.a), allow_swaps, swaps)
-    _tally(counter, _step_cost(rows.size, state.step))
+    mask = state.required.mask(n)
+    _run_step(a, f, state.step, mask, default_pivot_tol(state.a), allow_swaps, swaps)
+    _tally(counter, _step_cost(_live_rows(mask, state.step), state.step))
     _to_caller(f, swaps)
     return dataclasses.replace(state, f=f, step=state.step + 1, perm=tuple(swaps))
 

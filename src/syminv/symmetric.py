@@ -202,6 +202,7 @@ def _steps_around(a, m):
     return a, state, modgauss.eliminate_step(state, allow_swaps=False)
 
 
+@_fp_context
 def lemma1_check(a, m) -> bool:
     """Leading-block inverse property of the elimination.
 
@@ -222,6 +223,7 @@ def lemma1_check(a, m) -> bool:
     return True
 
 
+@_fp_context
 def lemma2_check(a, m) -> bool:
     """Rank-one structure of one elimination step.
 

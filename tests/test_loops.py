@@ -221,3 +221,64 @@ def test_a_blas_without_the_dgemm_symbol_names_it(monkeypatch):
     monkeypatch.setattr(_loops, "_DGEMM", "no_such_dgemm64_")
     with pytest.raises(ImportError, match="no_such_dgemm64_"):
         _loops._load_dgemm()
+
+
+def _refused_calls():
+    """(what, call, error) for each refusal of the wrappers' checks.
+
+    Each is made before a pointer is passed.
+    """
+    L, eye, keep, d3 = _loops, np.eye(4), np.ones(4, dtype=bool), np.ones(3)
+    frozen = np.eye(4)
+    frozen.flags.writeable = False
+    # The range checks.
+    yield "ldl_block: 3 x 4 a", lambda: L.ldl_block(np.eye(3, 4), 0, 3, d3, 0, 0), ValueError
+    yield "ldl_block: d too short", lambda: L.ldl_block(eye, 0, 4, d3, 0, 0), ValueError
+    yield "ldl_block: empty block", lambda: L.ldl_block(eye, 2, 2, np.ones(4), 0, 0), ValueError
+    yield "ldl_block: block past n", lambda: L.ldl_block(eye, 0, 5, np.ones(4), 0, 0), ValueError
+    yield "unit_lower_inverse: not square", lambda: L.unit_lower_inverse(np.eye(4)[:3]), ValueError
+    yield "step: short keep", lambda: L.step(eye, np.eye(4), 0, keep[:3], 0, 1), ValueError
+    yield "step: f of other height", lambda: L.step(eye, np.eye(5, 4), 0, keep, 0, 1), ValueError
+    yield "step: negative step", lambda: L.step(eye, np.eye(4), -1, keep, 0, 1), ValueError
+    yield "step: step past n", lambda: L.step(eye, np.eye(4), 4, keep, 0, 1), ValueError
+    yield "step: a too narrow", lambda: L.step(eye[:, :2], np.eye(4), 2, keep, 0, 1), ValueError
+    yield "step: f too narrow", lambda: L.step(eye, np.eye(4, 2), 2, keep, 0, 1), ValueError
+    yield "panel: p of other shape", lambda: L.panel(np.eye(3), np.eye(4), keep, 0), ValueError
+    yield "panel: keep of other length", lambda: L.panel(eye, np.eye(4), keep[:3], 0), ValueError
+    yield "panel: empty", lambda: L.panel(np.eye(0), np.eye(0), keep[:0], 0), ValueError
+    yield "parse_csv: text not bytes", lambda: L.parse_csv("1,2", 3, np.empty(2), 2), ValueError
+    yield "parse_csv: end past text", lambda: L.parse_csv(b"1,2", 4, np.empty(2), 2), ValueError
+    yield "parse_csv: negative end", lambda: L.parse_csv(b"1,2", -1, np.empty(2), 2), ValueError
+    yield "parse_csv: zero width", lambda: L.parse_csv(b"1,2", 3, np.empty(2), 0), ValueError
+    # _ptr: a writeable C-contiguous array of the dtype and axes the C code takes.
+    yield "step: integer keep", lambda: L.step(eye, np.eye(4), 0, keep.view("u1"), 0, 1), TypeError
+    yield "step: keep as a list", lambda: L.step(eye, np.eye(4), 0, [True] * 4, 0, 1), TypeError
+    yield "step: Fortran-ordered f", lambda: L.step(eye, np.eye(4, 5).T, 0, keep, 0, 1), TypeError
+    yield "panel: read-only c", lambda: L.panel(eye, frozen, keep, 0), TypeError
+    yield "ldl_block: integer d", lambda: L.ldl_block(eye, 0, 4, np.ones(4, int), 0, 0), TypeError
+    yield "parse_csv: 2-axis out", lambda: L.parse_csv(b"1,2", 3, np.empty((1, 2)), 2), TypeError
+    # _rows: an aligned float64 matrix with adjacent columns, writeable if written.
+    yield "step: float32 a", lambda: L.step(eye.astype("f4"), np.eye(4), 0, keep, 0, 1), TypeError
+    yield "step: strided a", lambda: L.step(np.eye(4, 8)[:, ::2], eye, 0, keep, 0, 1), TypeError
+    yield "step: a as a list", lambda: L.step(eye.tolist(), np.eye(4), 0, keep, 0, 1), TypeError
+    yield "unit_lower_inverse: read-only", lambda: L.unit_lower_inverse(frozen), TypeError
+
+
+@pytest.mark.parametrize("what, call, error", list(_refused_calls()),
+                         ids=[case[0] for case in _refused_calls()])
+def test_the_wrappers_refuse_what_the_c_code_would_misindex(what, call, error):
+    with pytest.raises(error):
+        call()
+
+
+def test_step_leaves_a_alone_and_takes_it_read_only():
+    a = generate(MatrixFamily("zero_leading_minor", 6, 7))  # step 0 swaps
+    keep = np.zeros(6, dtype=bool)
+    keep[1] = True
+    want_f, work = np.eye(6), a.copy()
+    want = [_loops.step(work, want_f, k, keep, 0.0, 1) for k in range(6)]
+    assert want[0] != 0 and work.tobytes() == a.tobytes()
+    work.flags.writeable = False
+    f = np.eye(6)
+    assert [_loops.step(work, f, k, keep, 0.0, 1) for k in range(6)] == want
+    assert f.tobytes() == want_f.tobytes()

@@ -246,6 +246,17 @@ def test_frobenius_norm_neither_overflows_nor_underflows(scale):
     assert frobenius_norm(np.full((2, 2), scale)) == 2 * scale
 
 
+@pytest.mark.parametrize("mode", ["warn", "raise"])
+@pytest.mark.parametrize("a, norm", [(np.full((2, 2), 1e150), 2e150),
+                                     (np.full((2, 2), 1e200), 2e200),
+                                     (np.full((2, 2), 1e-200), 2e-200),
+                                     (1e-310 * np.eye(3), 1e-310)],
+                         ids=["1e150", "1e200", "1e-200", "1e-310 I"])
+def test_norm2_estimate_neither_overflows_nor_underflows(a, norm, mode):
+    with np.errstate(all=mode):
+        assert norm2_estimate(a) == pytest.approx(norm, rel=1e-12)
+
+
 def _huge_entry_checks():
     a = np.full((2, 2), 1e200)
     return frobenius_norm(a), inverse_residual(a, np.eye(2)), row_identities_check(a, a)

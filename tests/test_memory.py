@@ -15,8 +15,10 @@ from syminv import (
     LinAlgError,
     MatrixFamily,
     cholesky_factor,
+    EliminationState,
     complete_lower,
     eliminate,
+    eliminate_step,
     generate,
     invert_v1_parts,
     invert_v2_reference,
@@ -117,3 +119,15 @@ def test_peak_traced_allocation(method):
     kind = "zero_leading_minor" if method == "robust" else "diag_dominant"
     a = generate(MatrixFamily(kind, 1000, 7))
     assert _peak_n2(METHOD_FUNCS[method], a) <= PEAK_LIMITS[method]
+
+
+def test_a_swap_free_step_copies_only_f():
+    # The step only reads A, so with no swap logged it allocates the new
+    # state's F and the step's scratch, 1.0103 n^2 doubles at n = 300, and
+    # no copy of A.
+    a = generate(MatrixFamily("diag_dominant", 300, 7))
+    state = EliminationState.start(a)
+    for _ in range(150):
+        state = eliminate_step(state)
+    assert state.perm == ()
+    assert _peak_n2(lambda _: eliminate_step(state), a) <= 1.02
