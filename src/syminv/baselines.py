@@ -32,12 +32,13 @@ Every method here, like v2 in ``symmetric``, ends in one shared finish,
 that the inverse did not overflow, and the mirroring.  The methods
 differ only in their factor, their triangular inverse and their cost
 model.  The triangular inverse, the lower triangle and the mirroring
-each overwrite the array they are given and return it, so the finish
-allocates no n x n array: the inverse is formed in the array the
-factor was made in (Cholesky's in its forward solve's B, km's in the
-unit factor its factor keeps beside L).  The LDL^T factor and the
-unit-lower inverse of the LDL and Krishnamoorthy-Menon inversions run
-by 64-column blocks, each a matrix product; the Cholesky factor runs on
+each overwrite the array they are given and return it, so no method
+allocates an n x n array beyond its factor: the inverse is formed in
+the array the factor was made in (Cholesky's in L, which its forward
+solve overwrites with B = L^-1, km's in the unit factor its factor
+keeps beside L).  The LDL^T factor and the unit-lower inverse of the
+LDL and Krishnamoorthy-Menon inversions run by 64-column blocks, each
+a matrix product; the Cholesky factor runs on
 the same LDL^T kernel, with Cholesky's pivot test, and scales its
 columns by sqrt(d).  The kernel's trailing rank-64 updates accumulate
 in place through numpy's own BLAS dgemm (``_loops.gemm_update``, with
@@ -130,19 +131,20 @@ def invert_cholesky(a, counter=None) -> np.ndarray:
     moving it onto the blocked unit-lower inverse as well would leave v2
     too thin a measured margin over it.  Row i reads, for each 128-column block
     c < i of B, only the rows c..i-1 of that block, since B is lower
-    triangular and the rows above c are zero there.  The finish
+    triangular and the rows above c are zero there.  B is written over
+    L, row by row: row i reads its own L entries block by block from
+    the left, each before it is overwritten, and l_ii last.  The finish
     overwrites B with the inverse.
     """
-    l = cholesky_factor(a, counter).l
-    n = l.shape[0]
-    b = np.zeros((n, n))
+    b = cholesky_factor(a, counter).l
+    n = b.shape[0]
     for i in range(n):
         bi = b[i]
         for c in range(0, i, 128):
             e = min(c + 128, i)
-            bi[c:e] = l[i, c:i] @ b[c:i, c:e]
-        bi[:i] /= -l[i, i]
-        bi[i] = 1.0 / l[i, i]
+            bi[c:e] = bi[c:i] @ b[c:i, c:e]
+        bi[:i] /= -bi[i]
+        bi[i] = 1.0 / bi[i]
         _tally(counter, (i + 1) * (i + 2) // 2)
     return _gram_inverse(b, None, counter, sum((i + 1) * (n - i) for i in range(n)))
 

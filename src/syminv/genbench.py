@@ -74,12 +74,18 @@ _EXPERIMENT_FAMILY = {1: "diag_dominant", 2: "diag_dominant", 3: "non_dominant"}
 
 DEFAULT_SEED = 42
 
+# The families that need order 2, and why.
+_NEEDS_TWO_ROWS = {"non_dominant": "a dominance violation needs order at least 2",
+                   "zero_leading_minor": "the zero-minor corner block needs order at least 2"}
+
 
 @dataclass(frozen=True)
 class MatrixFamily:
     """Generator descriptor: family kind, matrix order, and base seed.
 
-    The order must be positive and the seed non-negative.
+    The order must be positive, and at least 2 for the two families
+    whose defining structure needs two rows; the seed must be
+    non-negative.
     """
 
     kind: str
@@ -95,6 +101,8 @@ class MatrixFamily:
         object.__setattr__(self, "seed", as_integer(self.seed, "seed"))
         if self.n < 1:
             raise InvalidArgument(f"matrix order must be positive, got {self.n}")
+        if self.n < 2 and self.kind in _NEEDS_TWO_ROWS:
+            raise InvalidArgument(_NEEDS_TWO_ROWS[self.kind])
         if self.seed < 0:
             raise InvalidArgument(f"seed must be non-negative, got {self.seed}")
 
@@ -111,8 +119,6 @@ def _diag_dominant(rng, n):
 
 
 def _non_dominant(seed, n):
-    if n < 2:
-        raise InvalidArgument("a dominance violation needs order at least 2")
     for attempt in range(100):
         rng = np.random.default_rng(seed + attempt)
         a = _symmetric_uniform(rng, n, with_diagonal=True)
@@ -130,8 +136,6 @@ def _non_dominant(seed, n):
 
 
 def _zero_leading_minor(rng, n):
-    if n < 2:
-        raise InvalidArgument("the zero-minor corner block needs order at least 2")
     a = np.zeros((n, n))
     c = float(rng.uniform(1.0, 2.0))
     a[0, 1] = a[1, 0] = c
@@ -245,9 +249,9 @@ def run_experiment(exp_id, sizes=None, methods=None, seed=DEFAULT_SEED) -> list[
         if m not in METHOD_FUNCS:
             raise InvalidArgument(f"unknown method {m!r}; expected one of "
                                   f"{', '.join(sorted(METHOD_FUNCS))}")
+    families = [MatrixFamily(_EXPERIMENT_FAMILY[exp_id], n, seed + n) for n in sizes]
     reports = []
-    for n in sizes:
-        family = MatrixFamily(_EXPERIMENT_FAMILY[exp_id], n, seed + n)
+    for family in families:
         a = generate(family)
         reference = modgauss.invert(a)
         cells = [_run_cell(method, family, a, reference) for method in methods]

@@ -51,8 +51,10 @@ hold against the row-swapped A, so F ends as the inverse of Q A, Q the
 product of the logged swaps.  ``eliminate`` applies the log to F's
 columns once at the end: the required rows of F Q are rows of A^-1.
 ``eliminate_step`` maps every state the same way, so a state's F is
-always in the caller's coordinates; it copies A only to replay a
-logged swap, since the step itself only reads A.
+always in the caller's coordinates.  The step itself only reads A, so
+both drivers follow one rule: A is copied only when a swap has to
+exchange its rows, ``eliminate`` at its first logged swap and
+``eliminate_step`` when it replays a logged one.
 
 Cost model: only scalar multiplications and divisions are tallied
 (additions and subtractions are free).  Tallies follow the row-profile
@@ -157,12 +159,14 @@ def _run_step(a, f, k, mask, pivot_tol, allow_swaps, swaps) -> int:
     return j
 
 
-def _run_panel(a, f, s, mask, pivot_tol, counter, allow_swaps, swaps) -> int:
+def _run_panel(a, f, s, mask, pivot_tol, counter, allow_swaps, swaps):
     """Apply the steps of the panel starting at step s to f in place.
 
-    Returns the step the next panel starts at: the panel's end, or the
-    step after a pivot swap, which ends the panel early.  Counts the
-    panel's steps once they are done, then the swap step.
+    Returns (the step the next panel starts at, the A to run it on).
+    The next step is the panel's end, or the step after a pivot step,
+    which ends the panel early; a swap there exchanges two rows of A,
+    in the working copy made at the run's first swap.  Counts the
+    panel's steps once they are done, then the pivot step.
     """
     n = a.shape[0]
     e = min(s + _BLOCK, n)
@@ -214,11 +218,13 @@ def _run_panel(a, f, s, mask, pivot_tol, counter, allow_swaps, swaps) -> int:
     _tally(counter, sum(_step_cost(int(r) + n - k, k)
                         for k, r in zip(range(s, stop), ahead)))
     if stop == e:
-        return e
+        return e, a
     j = _run_step(a, f, stop, mask, pivot_tol, True, swaps)
-    a[[stop, j]] = a[[j, stop]]  # the working copy, for the steps after this one
+    if j != stop:
+        a = _real(a, copy=len(swaps) == 1)
+        a[[stop, j]] = a[[j, stop]]
     _tally(counter, _step_cost(_live_rows(mask, stop), stop))
-    return stop + 1
+    return stop + 1, a
 
 
 def _to_caller(f, swaps) -> None:
@@ -236,11 +242,11 @@ def eliminate(a, required=None, counter=None, allow_swaps=True) -> np.ndarray:
     A^-1; the other rows were frozen early to save operations, and
     ``symmetric.complete_lower`` reads them all.  Raises InvalidArgument
     when any row is not finite: every pivot cleared the threshold, but
-    the inverse overflows float64.
+    the inverse overflows float64.  Allocates F and, only once a swap
+    is logged, the working copy of A whose rows the swaps exchange; *a*
+    itself is only read.
     """
     a = _validated(a)
-    if allow_swaps:
-        a = a.copy()  # the working copy whose rows the swaps exchange
     n = a.shape[0]
     mask = _coerce_required(required, n).mask(n)
     tol = default_pivot_tol(a)
@@ -248,7 +254,7 @@ def eliminate(a, required=None, counter=None, allow_swaps=True) -> np.ndarray:
     swaps: list[tuple[int, int]] = []
     s = 0
     while s < n:
-        s = _run_panel(a, f, s, mask, tol, counter, allow_swaps, swaps)
+        s, a = _run_panel(a, f, s, mask, tol, counter, allow_swaps, swaps)
     _finite_inverse(f)
     _to_caller(f, swaps)
     return f
@@ -268,7 +274,7 @@ def solve(a, b, required, counter=None, allow_swaps=True) -> dict[int, float]:
     of the elimination cost, each returned component pays one length-n
     dot product (n multiplications).
     """
-    a = _validated(a)  # eliminate makes the one copy it needs
+    a = _validated(a)  # eliminate copies it only if a swap is logged
     n = a.shape[0]
     bv = as_vector(b, n)
     req = _coerce_required(required, n)

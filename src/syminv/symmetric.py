@@ -111,9 +111,11 @@ def invert_v1(a, counter=None) -> np.ndarray:
 
     Costs n^3/2 + n^2 - n/2 multiplications and divisions, no square
     roots.  Raises ZeroPivot when a leading principal minor is
-    numerically zero (no row swaps are attempted).
+    numerically zero (no row swaps are attempted).  Stage one's F is
+    freed once stage two returns, and the inverse is the completed F,
+    mirrored in place.
     """
-    return invert_v1_parts(a, counter)[2]
+    return _mirror(_finite_inverse(complete_lower(lower_stage(a, counter), counter)))
 
 
 def _sweep_step_cost(n, k) -> int:

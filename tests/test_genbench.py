@@ -100,10 +100,11 @@ class TestFamilies:
         assert np.linalg.matrix_rank(a) == 7  # nonsingular overall
 
     def test_small_orders_need_two(self):
-        with pytest.raises(InvalidArgument):
-            generate(MatrixFamily("non_dominant", 1, 1))
-        with pytest.raises(InvalidArgument):
-            generate(MatrixFamily("zero_leading_minor", 1, 1))
+        with pytest.raises(InvalidArgument, match="dominance violation needs order at least 2"):
+            MatrixFamily("non_dominant", 1, 1)
+        with pytest.raises(InvalidArgument, match="corner block needs order at least 2"):
+            MatrixFamily("zero_leading_minor", 1, 1)
+        assert generate(MatrixFamily("diag_dominant", 1, 1)).shape == (1, 1)
 
     def test_generate_requires_family(self):
         with pytest.raises(InvalidArgument):
@@ -195,6 +196,15 @@ class TestRunExperiment:
         monkeypatch.setattr(genbench, "generate", lambda family: pytest.fail("ran"))
         with pytest.raises(InvalidArgument, match="seed must be non-negative, got -10"):
             run_experiment(1, sizes=[100], methods=["v2"], seed=-10)
+
+    @pytest.mark.parametrize("exp_id,sizes,message", [
+        (1, [5, 0], "matrix order must be positive, got 0"),
+        (3, [5, 1], "a dominance violation needs order at least 2"),
+    ])
+    def test_every_order_checked_before_any_work(self, monkeypatch, exp_id, sizes, message):
+        monkeypatch.setattr(genbench, "generate", lambda family: pytest.fail("ran"))
+        with pytest.raises(InvalidArgument, match=message):
+            run_experiment(exp_id, sizes=sizes, methods=["v2"])
 
     def test_bare_method_name_is_one_method(self):
         reports = run_experiment(1, sizes=[5, 6], methods="v2")

@@ -1,8 +1,9 @@
 """Memory: no public entry point writes to its input, and the peak each method holds.
 
-The LDL^T-form finish overwrites the array its factor was made in, so
-these pin both sides of that: the caller's array is never that array,
-and the finish allocates no n x n array of its own.
+The LDL^T-form finish overwrites the array its factor was made in, and
+the elimination copies A only when a swap has to exchange its rows, so
+these pin both sides of that: the caller's array is never written, and
+a call allocates no n x n array that it does not write.
 """
 
 import tracemalloc
@@ -14,17 +15,20 @@ from syminv import (
     METHOD_FUNCS,
     LinAlgError,
     MatrixFamily,
+    ZeroPivot,
     cholesky_factor,
     EliminationState,
     complete_lower,
     eliminate,
     eliminate_step,
     generate,
+    invert,
     invert_v1_parts,
     invert_v2_reference,
     ldl_factor,
     lower_stage,
     mirror_lower,
+    modgauss,
     solve,
 )
 
@@ -100,18 +104,22 @@ def _peak_n2(func, a):
 
 
 # Limits in n^2 doubles at n = 1000.  v2, ldl, cholesky and km form the
-# inverse in their factor's array (cholesky's forward solve and km's
-# kept unit factor are the second n^2), the finish scales one 64-column
-# panel at a time, and the finiteness check holds one row block, so v2
-# and ldl may hold no more than 1.1894, and cholesky and km no more than
-# 2.0721 and 2.1235.  The elimination's rank-64 updates accumulate in
-# place, so gauss and robust (the elimination's F and A's working
-# copy, and panel-sized temporaries) may hold no more than 2.2539 and
-# 2.2542, and v1 no more than 3.0581.  Each is given 0.0005 for the few
-# hundred bytes of Python objects by which a traced peak varies between
-# runs, and rounded up in the third decimal.
+# inverse in their factor's array (cholesky_factor's unit factor, held
+# beside L while L is formed, and km's kept unit factor are the second
+# n^2), the finish scales one 64-column panel at a time, and the
+# finiteness check holds one row block, so v2 and ldl may hold no more
+# than 1.1894, and cholesky and km no more than 2.0721 and 2.1235.  The
+# elimination's rank-64 updates accumulate in place, and it copies A
+# only once a swap is logged, so gauss and a swap-free solve (F and
+# panel-sized temporaries) may hold no more than 1.2541 and 1.2622, and
+# robust, whose fallback swaps at step 0, 2.2542.  v1 holds stage one's
+# F while stage two completes a copy of it, which is mirrored in place:
+# no more than 2.2613.  Each is given 0.0005 for the few hundred bytes
+# of Python objects by which a traced peak varies between runs, and
+# rounded up in the third decimal.
 PEAK_LIMITS = {"v2": 1.19, "ldl": 1.19, "cholesky": 2.073, "km": 2.124,
-               "v1": 3.062, "gauss": 2.255, "robust": 2.255}
+               "v1": 2.262, "gauss": 1.255, "robust": 2.255}
+SWAP_FREE_SOLVE_LIMIT = 1.263
 
 
 @pytest.mark.parametrize("method", sorted(PEAK_LIMITS))
@@ -119,6 +127,43 @@ def test_peak_traced_allocation(method):
     kind = "zero_leading_minor" if method == "robust" else "diag_dominant"
     a = generate(MatrixFamily(kind, 1000, 7))
     assert _peak_n2(METHOD_FUNCS[method], a) <= PEAK_LIMITS[method]
+
+
+def test_a_swap_free_solve_copies_no_a():
+    n = 1000
+    a = generate(MatrixFamily("diag_dominant", n, 7))
+    b = np.linspace(1.0, 2.0, n)
+    assert _peak_n2(lambda x: solve(x, b, [n]), a) <= SWAP_FREE_SOLVE_LIMIT
+
+
+def test_a_first_swap_mid_run_leaves_a_read_only_input_alone(monkeypatch):
+    # The pivot of step 65, in the second panel, is zeroed, so the
+    # elimination copies A at that step, its first swap; the input is
+    # read-only, so any write to it would raise.
+    n, k = 130, 65
+    a = generate(MatrixFamily("diag_dominant", n, 7))
+    a[k, k] = a[k, :k] @ np.linalg.solve(a[:k, :k], a[:k, k])
+    a.setflags(write=False)
+    before = a.tobytes()
+    with pytest.raises(ZeroPivot, match=f"step {k}$"):
+        eliminate(a, allow_swaps=False)
+    logged = []
+    real_run_step = modgauss._run_step
+
+    def run_step(*args):
+        j = real_run_step(*args)
+        logged.append(list(args[-1]))  # the swaps the run has logged
+        return j
+
+    monkeypatch.setattr(modgauss, "_run_step", run_step)
+    inv = invert(a)
+    x = solve(a, np.ones(n), [n])
+    f = eliminate(a, [k + 1, n])
+    assert len(logged) == 3 and all(len(s) == 1 and s[0][0] == k for s in logged)
+    assert a.tobytes() == before and not a.flags.writeable
+    assert np.abs(inv @ a - np.eye(n)).max() <= 1e-10
+    assert x[n] == pytest.approx(inv[n - 1].sum(), abs=1e-12)
+    np.testing.assert_allclose(f[[k, n - 1]], inv[[k, n - 1]], rtol=0, atol=1e-12)
 
 
 def test_a_swap_free_step_copies_only_f():

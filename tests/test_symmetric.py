@@ -134,6 +134,23 @@ class TestStructure:
             np.testing.assert_array_equal(inv, final + (final - diag).T)
             np.testing.assert_array_equal(inv, inv.T)
 
+    @pytest.mark.parametrize("kind", ["diag_dominant", "non_dominant", "zero_leading_minor"])
+    @pytest.mark.parametrize("n", [2, 65, 130])
+    def test_v1_equals_its_parts(self, kind, n):
+        # invert_v1 composes the two stages itself, so that it need not
+        # copy the completed F; it must still be invert_v1_parts' inverse,
+        # bit for bit, with the same counts and the same errors.
+        a = generate(MatrixFamily(kind, n, 7))
+        outcomes = []
+        for func in (invert_v1, lambda x, c: invert_v1_parts(x, c)[2]):
+            c = OpCounter()
+            try:
+                got = func(a, c).tobytes()
+            except ZeroPivot as exc:
+                got = str(exc)
+            outcomes.append((got, c.muldiv, c.sqrt))
+        assert outcomes[0] == outcomes[1]
+
     def test_v2_output_bitwise_symmetric_both_paths(self):
         rng = np.random.default_rng(127)
         for n in (5, 80):
