@@ -35,14 +35,15 @@ model.  The triangular inverse, the lower triangle and the mirroring
 each overwrite the array they are given and return it, so no method
 allocates an n x n array beyond its factor: the inverse is formed in
 the array the factor was made in (Cholesky's in L, which its forward
-solve overwrites with B = L^-1, km's in the unit factor its factor
-keeps beside L).  The LDL^T factor and the unit-lower inverse of the
+solve overwrites with B = L^-1, km's in the unit factor it recovers
+from L in place).  The LDL^T factor and the unit-lower inverse of the
 LDL and Krishnamoorthy-Menon inversions run by 64-column blocks, each
-a matrix product; the Cholesky factor runs on
-the same LDL^T kernel, with Cholesky's pivot test, and scales its
-columns by sqrt(d).  The kernel's trailing rank-64 updates accumulate
-in place through numpy's own BLAS dgemm (``_loops.gemm_update``, with
-beta = 1), bitwise the values ``C -= A @ B`` gives.  Two loops on each
+a matrix product; the Cholesky factor runs on the same LDL^T kernel,
+with Cholesky's pivot test, and scales the columns of the kernel's unit
+factor by sqrt(d) in place.  The kernel's trailing rank-64 updates
+accumulate in place through numpy's own BLAS dgemm
+(``_loops.gemm_update``, with beta = 1), bitwise the values
+``C -= A @ B`` gives.  Two loops on each
 64 x 64 diagonal block are compiled (``_loops.c``, built at import):
 the kernel's column loop and the block's unit-lower inverse, each
 entry of which is summed in index order.  Neither fuses a
@@ -71,13 +72,12 @@ from .modgauss import default_pivot_tol
 class CholFactor:
     """Lower-triangular factor with positive diagonal: L @ L.T == input.
 
-    Also keeps what the LDL^T kernel formed on the way, for invert_km:
-    the strict lower part of the unit factor L~ = L diag(L)^-1 and the
-    inverses of its leading 64x64 diagonal blocks.
+    Also keeps the inverses of the leading 64x64 diagonal blocks of the
+    unit factor L~ = L diag(L)^-1, which the LDL^T kernel formed, for
+    invert_km.
     """
 
     l: np.ndarray
-    _unit: np.ndarray | None = field(default=None, repr=False, compare=False)
     _blocks: tuple = field(default=(), repr=False, compare=False)
 
 
@@ -101,19 +101,20 @@ def cholesky_factor(a, counter=None) -> CholFactor:
     Column j costs j multiplications for the diagonal, one square root,
     and (n-1-j)(j+1) multiplications and divisions below it.  Evaluated
     on the LDL^T kernel, whose pivot d_j is the quantity under the
-    square root: L = L~ diag(sqrt(d)), n square roots.  Raises
+    square root: L = L~ diag(sqrt(d)), n square roots, formed by
+    scaling the kernel's unit factor L~ in place.  Raises
     NotPositiveDefinite(j), having counted nothing, at the first
     d_j <= ``default_pivot_tol(a)``, the threshold every method judges
     its pivots against.
     """
     a = _checked_symmetric(a)
     n = a.shape[0]
-    unit, d, blocks = _ldl_nopiv_blocked(a, cholesky=True)
+    l, d, blocks = _ldl_nopiv_blocked(a, cholesky=True)
     root = np.sqrt(d)
-    l = unit * root
+    l *= root
     l[np.diag_indices(n)] = root
     _tally(counter, sum(j + (n - 1 - j) * (j + 1) for j in range(n)), n)
-    return CholFactor(l=l, _unit=unit, _blocks=tuple(blocks))
+    return CholFactor(l=l, _blocks=tuple(blocks))
 
 
 @_fp_context
@@ -302,13 +303,15 @@ def invert_km(a, counter=None) -> np.ndarray:
     multiplications), then the lower triangle of R^T R (row i costs
     (i+1)(n-1-i)).  Total: n^3/2 + n^2/2 muldiv and n square roots.
     R is evaluated as diag(1/l_ii) times the inverse of the unit factor
-    L diag(L)^-1, which the factor keeps from its kernel together with
-    the kernel's diagonal-block inverses.  R and then the inverse are
-    formed in place, in that unit factor.
+    L diag(L)^-1, which is recovered by dividing L's columns in place,
+    with the diagonal-block inverses the factor keeps from its kernel.
+    R and then the inverse are formed in place, in L's array.
     """
     fac = cholesky_factor(a, counter)
-    n = fac.l.shape[0]
-    r = _unit_lower_inverse(fac._unit, fac._blocks)
-    r /= np.diag(fac.l)[:, None]
+    l, n = fac.l, fac.l.shape[0]
+    root = np.diag(l).copy()
+    l /= root
+    r = _unit_lower_inverse(l, fac._blocks)
+    r /= root[:, None]
     _tally(counter, sum(1 + i * (i + 1) // 2 for i in range(n)))
     return _gram_inverse(r, None, counter, sum((i + 1) * (n - 1 - i) for i in range(n)))

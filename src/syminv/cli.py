@@ -22,7 +22,7 @@ import sys
 from . import complexity, genbench
 from .errors import InvalidArgument, LinAlgError
 from .matcore import OpCounter
-from .mmio import csv_lines, read_matrix, write_matrix
+from .mmio import _WRITERS, _dispatch, csv_lines, read_matrix, write_matrix
 
 
 def _parse_int_list(text, what):
@@ -45,6 +45,9 @@ def _print_matrix(stream, m):
 
 
 def cmd_invert(args):
+    if args.output:
+        # Refuse an output extension before the read and the inversion.
+        _dispatch(_WRITERS, args.output, "write")
     a = read_matrix(args.input)
     counter = OpCounter()
     inv = genbench.METHOD_FUNCS[args.method](a, counter)

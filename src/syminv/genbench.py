@@ -42,10 +42,10 @@ from .errors import GenerationFailed, InvalidArgument, LinAlgError, ZeroPivot
 from .matcore import (
     OpCounter,
     RequiredSet,
+    _mirror,
     as_integer,
     frobenius_norm,
     inverse_residual,
-    mirror_lower,
     norm2_estimate,
 )
 
@@ -107,13 +107,14 @@ class MatrixFamily:
             raise InvalidArgument(f"seed must be non-negative, got {self.seed}")
 
 
-def _symmetric_uniform(rng, n, with_diagonal):
-    m = rng.uniform(-1.0, 1.0, size=(n, n))
-    return mirror_lower(m if with_diagonal else np.tril(m, -1))
+def _symmetric_uniform(rng, n):
+    """Symmetric, from the lower triangle of one uniform [-1, 1] draw, mirrored in place."""
+    return _mirror(rng.uniform(-1.0, 1.0, size=(n, n)))
 
 
 def _diag_dominant(rng, n):
-    a = _symmetric_uniform(rng, n, with_diagonal=False)
+    a = _symmetric_uniform(rng, n)
+    a[np.diag_indices(n)] = 0.0  # so that the row sums are off-diagonal
     a[np.diag_indices(n)] = np.abs(a).sum(axis=1) + rng.uniform(1.0, 2.0, size=n)
     return a
 
@@ -121,7 +122,7 @@ def _diag_dominant(rng, n):
 def _non_dominant(seed, n):
     for attempt in range(100):
         rng = np.random.default_rng(seed + attempt)
-        a = _symmetric_uniform(rng, n, with_diagonal=True)
+        a = _symmetric_uniform(rng, n)
         off = np.abs(a).sum(axis=1) - np.abs(np.diag(a))
         if not (np.abs(np.diag(a)) <= off).any():
             continue  # accidentally dominant in every row
@@ -394,7 +395,7 @@ def _verify_lemmas(seed):
     for trial in range(6):
         n = int(rng.integers(2, 13))
         if trial % 2:
-            a = _symmetric_uniform(np.random.default_rng(seed + trial), n, True)
+            a = _symmetric_uniform(np.random.default_rng(seed + trial), n)
             a[np.diag_indices(n)] += np.sign(np.diag(a)) * n  # keep minors away from 0
         else:
             a = np.random.default_rng(seed + trial).uniform(-1.0, 1.0, (n, n))

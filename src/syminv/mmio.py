@@ -27,9 +27,10 @@ start, and a pipe or FIFO, which cannot be read twice, from its text.
 
 Matrix Market files go through ``scipy.io`` and may use either the
 ``array`` or the ``coordinate`` layout; coordinate files (including
-``symmetric`` ones) are expanded to dense on read.  SciPy is imported
-only when a Matrix Market file is read or written, and orjson only when
-CSV text is written.
+``symmetric`` ones) are expanded to dense on read.  A file that
+``scipy.io`` cannot parse raises an ``InvalidArgument`` that names the
+path.  SciPy is imported only when a Matrix Market file is read or
+written, and orjson only when CSV text is written.
 """
 
 from __future__ import annotations
@@ -136,10 +137,11 @@ def read_mm_matrix(path) -> np.ndarray:
     import scipy.io
     import scipy.sparse
 
-    m = scipy.io.mmread(path)
-    if scipy.sparse.issparse(m):
-        m = m.toarray()
-    return _validated(m)
+    try:
+        m = scipy.io.mmread(path)
+    except ValueError as exc:
+        raise InvalidArgument(f"{path}: {exc}") from None
+    return _validated(m.toarray() if scipy.sparse.issparse(m) else m)
 
 
 def write_mm_matrix(path, a) -> None:

@@ -348,6 +348,18 @@ def test_ldl_inverse_matches_row_formulas(n, definite):
     assert c.sqrt == s_theor("ldl", n) == 0
 
 
+@pytest.mark.parametrize("n", [1, 63, 65, 200])
+def test_cholesky_factor_scales_the_unit_factor_in_place(n):
+    # L is the kernel's unit factor with its columns scaled by sqrt(d),
+    # bit for bit the product formed out of place.
+    a = _spd(np.random.default_rng(900 + n), n)
+    unit, d, _ = baselines._ldl_nopiv_blocked(a.copy(), cholesky=True)
+    want = unit * np.sqrt(d)
+    want[np.diag_indices(n)] = np.sqrt(d)
+    got = cholesky_factor(a).l
+    np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+
 @pytest.mark.parametrize("n", [1, 63, 65, 130, 200])
 def test_ldl_and_km_reuse_kernel_blocks(n, monkeypatch):
     # invert_ldl with the kernel's diagonal-block inverses is bitwise the

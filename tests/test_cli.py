@@ -152,6 +152,29 @@ class TestInvert:
         assert "real" in captured.err
 
 
+    def test_malformed_matrix_market_file_is_an_error(self, tmp_path, capsys):
+        path = tmp_path / "bad.mtx"
+        path.write_text("%%MatrixMarket matrix array real general\n2 2\n1\n2\n")
+        code = main(["invert", "--input", str(path)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith(f"syminv: error: {path}: ")
+        assert "Traceback" not in err
+
+    def test_unsupported_output_extension_is_refused_before_the_read(
+            self, tmp_path, capsys, monkeypatch):
+        path, _ = _write_sample(tmp_path)
+
+        def no_read(_):
+            raise AssertionError("read before the output extension was checked")
+
+        monkeypatch.setattr(syminv.cli, "read_matrix", no_read)
+        code = main(["invert", "--input", str(path), "--output", str(tmp_path / "m.txt")])
+        assert code == 1
+        assert "unsupported extension '.txt'" in capsys.readouterr().err
+        assert not (tmp_path / "m.txt").exists()
+
+
 class TestBench:
     def test_csv_to_stdout(self, capsys):
         assert main(["bench", "--experiment", "1", "--sizes", "6,9"]) == 0

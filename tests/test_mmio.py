@@ -3,6 +3,7 @@
 import io
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -516,6 +517,24 @@ def test_coordinate_symmetric_matrix_market_expands_to_dense(tmp_path, capsys):
                  "--output", str(dest), "--count"]) == 0
     assert capsys.readouterr().out == "muldiv=18 sqrt=0\n"  # (n^3 + n^2)/2
     np.testing.assert_array_equal(read_matrix(str(dest)), invert_v2(want))
+
+
+_BANNER = "%%MatrixMarket matrix array real general\n"
+MALFORMED_MTX = {
+    "no-banner": "1 2\n3 4\n",
+    "bad-value": _BANNER + "2 2\n1\n2\nabc\n4\n",
+    "truncated": _BANNER + "2 2\n1\n2\n",
+    "too-many-values": _BANNER + "2 2\n1\n2\n3\n4\n5\n",
+    "row-out-of-bounds": "%%MatrixMarket matrix coordinate real general\n2 2 1\n3 1 1.0\n",
+}
+
+
+@pytest.mark.parametrize("text", MALFORMED_MTX.values(), ids=MALFORMED_MTX.keys())
+def test_malformed_matrix_market_file_is_a_package_error(tmp_path, text):
+    path = tmp_path / "bad.mtx"
+    path.write_text(text)
+    with pytest.raises(InvalidArgument, match=f"^{re.escape(str(path))}: "):
+        read_matrix(str(path))
 
 
 @pytest.mark.parametrize("at", [0, 128], ids=["leading", "after-128-rows"])
