@@ -40,6 +40,7 @@ import numpy as np
 from . import baselines, complexity, modgauss, symmetric
 from .errors import GenerationFailed, InvalidArgument, LinAlgError, ZeroPivot
 from .matcore import (
+    _BLOCK,
     OpCounter,
     RequiredSet,
     _mirror,
@@ -115,7 +116,8 @@ def _symmetric_uniform(rng, n):
 def _diag_dominant(rng, n):
     a = _symmetric_uniform(rng, n)
     a[np.diag_indices(n)] = 0.0  # so that the row sums are off-diagonal
-    a[np.diag_indices(n)] = np.abs(a).sum(axis=1) + rng.uniform(1.0, 2.0, size=n)
+    sums = [np.abs(a[i:i + _BLOCK]).sum(axis=1) for i in range(0, n, _BLOCK)]
+    a[np.diag_indices(n)] = np.concatenate(sums) + rng.uniform(1.0, 2.0, size=n)
     return a
 
 

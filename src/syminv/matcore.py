@@ -22,7 +22,7 @@ from .errors import DimensionMismatch, IndexOutOfRange, InvalidArgument, NotSymm
 
 # Column-block width of the blocked kernels: the LDL^T factor, the
 # unit-lower inverse, the lower-triangle product and the elimination's
-# panels.
+# panels; also the row blocks of the generators' row sums.
 _BLOCK = 64
 
 

@@ -55,16 +55,17 @@ _FIRST_ROW = re.compile(rb"\n*([^\n]+)")
 
 
 def csv_lines(a):
-    """Yield the CSV text of the finite square matrix *a*, one LF-terminated row at a time.
+    """The CSV text of the finite square matrix *a*, as an iterator of LF-terminated rows.
 
-    orjson prints a row as ``[v0,v1,...]``, so dropping the brackets
-    leaves the row's cells.
+    *a* is checked when this is called, so a non-finite matrix raises
+    before any row is made.  orjson prints a row as ``[v0,v1,...]``, so
+    dropping the brackets leaves the row's cells.
     """
     import orjson
 
-    a = np.ascontiguousarray(_validated(a))
-    for row in a:
-        yield orjson.dumps(row, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].decode("ascii") + "\n"
+    a = _validated(a)
+    return (orjson.dumps(row, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].decode("ascii") + "\n"
+            for row in a)
 
 
 def _read_plain_csv(fh, size):
@@ -128,9 +129,9 @@ def _read_csv_loadtxt(path, text=None) -> np.ndarray:
 
 
 def write_csv_matrix(path, a) -> None:
-    a = _validated(a)
+    lines = csv_lines(a)  # checks a before the file is opened
     with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.writelines(csv_lines(a))
+        fh.writelines(lines)
 
 
 def read_mm_matrix(path) -> np.ndarray:

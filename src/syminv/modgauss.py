@@ -52,9 +52,13 @@ product of the logged swaps.  ``eliminate`` applies the log to F's
 columns once at the end: the required rows of F Q are rows of A^-1.
 ``eliminate_step`` maps every state the same way, so a state's F is
 always in the caller's coordinates.  The step itself only reads A, so
-both drivers follow one rule: A is copied only when a swap has to
-exchange its rows, ``eliminate`` at its first logged swap and
-``eliminate_step`` when it replays a logged one.
+both drivers follow one rule, ``_run_step``'s: A is copied only when a
+swap has to exchange its rows, at the first swap in the log the step is
+handed.  ``eliminate`` hands the run's log, so it copies A once;
+``eliminate_step`` hands a log of its own step, since states share the
+run's A.  That A, with the logged swaps applied, the required mask and
+the pivot threshold are derived once per run and carried by every
+``EliminationState``, so a step copies only F unless it swaps.
 
 Cost model: only scalar multiplications and divisions are tallied
 (additions and subtractions are free).  Tallies follow the row-profile
@@ -114,14 +118,10 @@ def default_pivot_tol(a) -> float:
 
 
 def _coerce_required(required, n: int) -> RequiredSet:
+    """*required* as a RequiredSet, every index when None; its ``mask(n)`` checks the indices."""
     if required is None:
-        req = RequiredSet.full(n)
-    elif isinstance(required, RequiredSet):
-        req = required
-    else:
-        req = RequiredSet(required)
-    req.mask(n)  # raises IndexOutOfRange if any index exceeds n
-    return req
+        return RequiredSet.full(n)
+    return required if isinstance(required, RequiredSet) else RequiredSet(required)
 
 
 def _live_rows(mask, k) -> int:
@@ -139,15 +139,17 @@ def _step_cost(m, k) -> int:
     return m * (2 * k + 1)
 
 
-def _run_step(a, f, k, mask, pivot_tol, allow_swaps, swaps) -> int:
-    """Apply elimination step k to f in place and return its pivot row j; the caller counts it.
+def _run_step(a, f, k, mask, pivot_tol, allow_swaps, swaps) -> np.ndarray:
+    """Apply elimination step k to f in place and return the A to go on with; the caller counts it.
 
     The step updates the live rows: the rows *mask* requires above k
     and every row from k on.  The compiled step sums each multiplier in
-    index order.  A swap with row j exchanges the pivoted parts f[k, :k]
-    and f[j, :k], so every row keeps its profile, and logs (k, j) in
-    swaps; a is only read, so a caller that goes on exchanges its rows
-    k and j.  A rejected pivot raises before f is touched.
+    index order and only reads a.  A swap with row j exchanges the
+    pivoted parts f[k, :k] and f[j, :k], so every row keeps its
+    profile, logs (k, j) in swaps and exchanges rows k and j of A: of a
+    copy when it is the first swap in *swaps*, since a is then not the
+    caller's own, and of a itself after that.  A rejected pivot raises
+    before f is touched.
     """
     j = _loops.step(a, f, k, mask, pivot_tol, allow_swaps)
     if j < 0:
@@ -156,7 +158,9 @@ def _run_step(a, f, k, mask, pivot_tol, allow_swaps, swaps) -> int:
         raise SingularMatrix(f"no usable pivot at elimination step {k}: matrix is singular")
     if j != k:
         swaps.append((k, j))
-    return j
+        a = _real(a, copy=len(swaps) == 1)
+        a[[k, j]] = a[[j, k]]
+    return a
 
 
 def _run_panel(a, f, s, mask, pivot_tol, counter, allow_swaps, swaps):
@@ -165,8 +169,8 @@ def _run_panel(a, f, s, mask, pivot_tol, counter, allow_swaps, swaps):
     Returns (the step the next panel starts at, the A to run it on).
     The next step is the panel's end, or the step after a pivot step,
     which ends the panel early; a swap there exchanges two rows of A,
-    in the working copy made at the run's first swap.  Counts the
-    panel's steps once they are done, then the pivot step.
+    in the working copy ``_run_step`` makes at the run's first swap.
+    Counts the panel's steps once they are done, then the pivot step.
     """
     n = a.shape[0]
     e = min(s + _BLOCK, n)
@@ -219,10 +223,7 @@ def _run_panel(a, f, s, mask, pivot_tol, counter, allow_swaps, swaps):
                         for k, r in zip(range(s, stop), ahead)))
     if stop == e:
         return e, a
-    j = _run_step(a, f, stop, mask, pivot_tol, True, swaps)
-    if j != stop:
-        a = _real(a, copy=len(swaps) == 1)
-        a[[stop, j]] = a[[j, stop]]
+    a = _run_step(a, f, stop, mask, pivot_tol, True, swaps)
     _tally(counter, _step_cost(_live_rows(mask, stop), stop))
     return stop + 1, a
 
@@ -291,7 +292,10 @@ class EliminationState:
     f evolves from the identity toward A^-1, in the caller's
     coordinates; step counts completed steps; perm records the swaps as
     (step, swapped_row) pairs.  States are immutable: eliminate_step
-    returns a new snapshot and leaves a as given.
+    returns a new snapshot and leaves a as given.  A state also carries
+    what its run fixes, derived once when a state is built without it
+    and handed on by every step: A with the logged swaps applied to its
+    rows, the mask of required rows and the pivot threshold.
     """
 
     a: np.ndarray
@@ -299,37 +303,43 @@ class EliminationState:
     step: int
     required: RequiredSet
     perm: tuple
+    _run: tuple = dataclasses.field(default=None, repr=False, compare=False)
+
+    def __post_init__(self):
+        if self._run is None:
+            a = _real(self.a, copy=bool(self.perm))
+            for k, j in self.perm:  # into the working coordinates of the run so far
+                a[[k, j]] = a[[j, k]]
+            run = a, self.required.mask(a.shape[0]), default_pivot_tol(a)
+            object.__setattr__(self, "_run", run)
 
     @classmethod
     def start(cls, a, required=None) -> "EliminationState":
         a = as_matrix(a)
         n = a.shape[0]
-        req = _coerce_required(required, n)
-        return cls(a=a, f=np.eye(n), step=0, required=req, perm=())
-
-    def active_rows(self) -> np.ndarray:
-        """Indices of rows still being updated at the current step."""
-        n = self.a.shape[0]
-        return np.flatnonzero(self.required.mask(n) | (np.arange(n) >= self.step))
+        return cls(a=a, f=np.eye(n), step=0, required=_coerce_required(required, n), perm=())
 
 
 @_fp_context
 def eliminate_step(state: EliminationState, counter=None, allow_swaps=True) -> EliminationState:
-    """Apply one elimination step, returning a new state (input unchanged)."""
-    n = state.a.shape[0]
-    if state.step >= n:
-        raise InvalidArgument(f"elimination already complete after {state.step} steps")
-    a = _real(state.a, copy=bool(state.perm))  # the step only reads it
+    """Apply one elimination step, returning a new state (input unchanged).
+
+    Copies F, and A only when the step swaps: states share the run's A,
+    so the step hands ``_run_step`` a log of its own.
+    """
+    a, mask, tol = state._run
+    k = state.step
+    if k >= mask.size:
+        raise InvalidArgument(f"elimination already complete after {k} steps")
     f = _real(state.f, copy=True)
-    swaps = list(state.perm)
-    for k, j in swaps:  # into the working coordinates of the run so far
-        a[[k, j]] = a[[j, k]]
-        f[:, [k, j]] = f[:, [j, k]]
-    mask = state.required.mask(n)
-    _run_step(a, f, state.step, mask, default_pivot_tol(state.a), allow_swaps, swaps)
-    _tally(counter, _step_cost(_live_rows(mask, state.step), state.step))
-    _to_caller(f, swaps)
-    return dataclasses.replace(state, f=f, step=state.step + 1, perm=tuple(swaps))
+    for i, j in state.perm:  # into the working coordinates of the run so far
+        f[:, [i, j]] = f[:, [j, i]]
+    swaps: list[tuple[int, int]] = []
+    a = _run_step(a, f, k, mask, tol, allow_swaps, swaps)
+    _tally(counter, _step_cost(_live_rows(mask, k), k))
+    perm = (*state.perm, *swaps)
+    _to_caller(f, perm)
+    return dataclasses.replace(state, f=f, step=k + 1, perm=perm, _run=(a, mask, tol))
 
 
 @_fp_context

@@ -272,6 +272,20 @@ def test_non_finite_never_reaches_the_text(tmp_path, bad):
     assert stream.getvalue() == ""
 
 
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_a_refused_write_leaves_an_existing_file_alone(tmp_path, bad):
+    path = tmp_path / "out.csv"
+    write_csv_matrix(str(path), np.eye(3))
+    before = path.read_bytes()
+    a = np.eye(3)
+    a[2, 1] = bad
+    with pytest.raises(InvalidArgument):
+        csv_lines(a)  # checked when called, before any row is made
+    with pytest.raises(InvalidArgument):
+        write_csv_matrix(str(path), a)
+    assert path.read_bytes() == before
+
+
 def test_unknown_extension_rejected(tmp_path):
     path = tmp_path / "m.json"
     with pytest.raises(InvalidArgument):

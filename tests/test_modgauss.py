@@ -22,6 +22,7 @@ from syminv import (
     MatrixFamily,
     q_theor,
     lower_stage,
+    modgauss,
     row_identities_check,
     solve,
 )
@@ -195,15 +196,6 @@ class TestEliminationState:
         with pytest.raises(Exception):
             s0.step = 5
 
-    def test_active_rows_shrink_after_freeze(self):
-        a = np.diag([1.0, 2.0, 3.0])
-        state = EliminationState.start(a, RequiredSet([3]))
-        np.testing.assert_array_equal(state.active_rows(), [0, 1, 2])
-        state = eliminate_step(state)
-        np.testing.assert_array_equal(state.active_rows(), [1, 2])
-        state = eliminate_step(state)
-        np.testing.assert_array_equal(state.active_rows(), [2])
-
     def test_too_many_steps_rejected(self):
         state = EliminationState.start(np.eye(2))
         state = eliminate_step(eliminate_step(state))
@@ -214,6 +206,35 @@ class TestEliminationState:
         a = np.array([[0.0, 1.0], [1.0, 0.0]])
         state = eliminate_step(EliminationState.start(a))
         assert state.perm == ((0, 1),)
+
+    def test_a_run_derives_its_threshold_once(self, monkeypatch):
+        calls = []
+        real = modgauss.default_pivot_tol
+        monkeypatch.setattr(modgauss, "default_pivot_tol", lambda a: calls.append(1) or real(a))
+        state, _ = _stepwise(generate(MatrixFamily("zero_leading_minor", 20, 7)))
+        assert state.perm[0][0] == 0 and len(calls) == 1
+
+    @pytest.mark.parametrize("n", [9, 65, 130])
+    @pytest.mark.parametrize("kind", ["zero_leading_minor", "vanishing_minors"])
+    def test_a_state_built_with_a_perm_steps_like_the_carried_one(self, kind, n):
+        # A state built directly derives the run's row-swapped A from its
+        # perm; the carried state has it from the steps before.
+        if kind == "zero_leading_minor":
+            a = generate(MatrixFamily(kind, n, 7))
+        else:
+            a = _vanishing_minors(_dominant(np.random.default_rng(4000 + n), n), 2, n // 2)
+        states = [EliminationState.start(a)]
+        while states[-1].step < n:
+            states.append(eliminate_step(states[-1]))
+        swapped = [k for k, _ in states[-1].perm]
+        assert swapped[0] in (0, 2)
+        for k in sorted({s + 1 for s in swapped} | {n - 1}):
+            s = states[k]
+            state = EliminationState(a=s.a, f=s.f, step=k, required=s.required, perm=s.perm)
+            assert state.perm and state == s
+            for want in states[k + 1:]:
+                state = eliminate_step(state)
+                assert state.f.tobytes() == want.f.tobytes() and state.perm == want.perm
 
 
 class TestPanelDriver:
